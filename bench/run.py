@@ -5,7 +5,9 @@
 Run from the root of a source checkout: the program is imported from `src/`.
 Each workload is a closed loop with one client: the next request starts when
 the previous one has returned.  The loop repeats a seeded round of requests
-and stops at the first round boundary after `--seconds`.
+and stops at the first round boundary after `--seconds`.  The tail
+percentile is fixed by the round size, so it does not change with the
+number of rounds that fit.
 
 With `--trace 0` the last line of stdout carries the end-to-end metrics named
 in BENCHMARK.json; with `--trace 1` it carries the per-layer metrics from a
@@ -37,9 +39,9 @@ SRC_DIR = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".bench_out")
 CHILD_SCRIPT = os.path.join(BENCH_DIR, "cli_child.py")
 
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 9  # spread evenly through the measured loop
 IMPORT_PROBE = "import time; t0 = time.perf_counter(); import gldual; print(time.perf_counter() - t0)"
-# the tail is the highest of these with at least ten samples beyond it
+# the tail is the highest of these with at least ten samples beyond it in one round
 TAIL_PERCENTILES = ("99.9", "99", "95", "90", "75", "50")
 TRACED_ROUNDS = 2  # the second repeats the first, to check that counts repeat
 WARMUP_REQUESTS = 10  # in-process only: untimed calls before the first round
@@ -69,13 +71,13 @@ def percentile(latencies: list[float], p: str) -> tuple[float, int]:
     return ordered[rank - 1], len(ordered) - rank
 
 
-def tail(latencies: list[float]) -> tuple[str, float, int]:
-    """The highest percentile in TAIL_PERCENTILES with at least ten samples
-    beyond it (or the median, below 20 samples): (percentile, value, beyond)."""
+def tail_percentile(round_size: int) -> str:
+    """The highest percentile in TAIL_PERCENTILES with at least ten requests of
+    one round beyond it (the median, below 20 requests)."""
     for p in TAIL_PERCENTILES:
-        value, beyond = percentile(latencies, p)
-        if beyond >= 10 or p == TAIL_PERCENTILES[-1]:
-            return p, value, beyond
+        if round_size - max(1, math.ceil(Fraction(p) * round_size / 100)) >= 10:
+            return p
+    return TAIL_PERCENTILES[-1]
 
 
 def _source_hash() -> str:
@@ -132,13 +134,42 @@ def spawn(argv: list[str], stderr=subprocess.DEVNULL) -> tuple[int, bytes, float
     return proc.returncode, out, usage.ru_maxrss / 1024
 
 
+class SetupProbe:
+    """`import gldual` timed in fresh processes, spread through the loop."""
+
+    def __init__(self, seconds: float):
+        self.every = seconds / (SETUP_SAMPLES - 1)
+        self.samples: list[float] = []
+
+    def run(self):
+        code, out, _ = spawn([sys.executable, "-c", IMPORT_PROBE])
+        if code != 0:
+            _stop("importing gldual failed")
+        self.samples.append(float(out))
+
+    def maybe(self, clock: float) -> float:
+        """Probe once if one is due at this time of the loop; the wall time spent."""
+        if len(self.samples) >= SETUP_SAMPLES or clock < len(self.samples) * self.every:
+            return 0.0
+        t0 = time.perf_counter()
+        self.run()
+        return time.perf_counter() - t0
+
+    def median(self) -> float:
+        while len(self.samples) < SETUP_SAMPLES:
+            self.run()
+        return statistics.median(self.samples)
+
+
 class Loop:
     """Closed loop with one client over a fixed round of requests.
 
     The first output of each request becomes its reference; every later
-    output is compared with it outside the timed region.  A garbage
-    collection before each request, also untimed, makes each request pay for
-    its own garbage only, not for whichever request ran before it.
+    output is compared with it outside the timed region.  Before each
+    request, untimed, the loop collects what the previous request left and
+    freezes everything still alive (references, spans), so a request never
+    pays for the benchmark's own objects.  A collection after the call is
+    timed with it: each request pays for collecting its own garbage.
     """
 
     def __init__(self, requests, call):
@@ -152,11 +183,13 @@ class Loop:
         if tracer is not None:
             tracer.request = self.attempted
         gc.collect()
+        gc.freeze()
         t0 = time.perf_counter()
         try:
             out = self.call(self.requests[idx])
         except Exception as exc:  # judged by the oracle, never fatal
             out = Raised(type(exc).__name__, str(exc))
+        gc.collect()
         elapsed = time.perf_counter() - t0
         self.attempted += 1
         if idx not in self.reference:
@@ -171,14 +204,21 @@ class Loop:
             self._one(idx)
         self.attempted = 0
 
-    def rounds(self, seconds: float, tracer=None) -> list[float]:
-        """Whole rounds until `seconds` have passed; the time of each request."""
-        latencies = []
+    def rounds(self, seconds: float, tracer=None, probe=None) -> list[list[float]]:
+        """Whole rounds until `seconds` have passed; per round, the time of
+        each request.  Time spent in setup probes does not count."""
+        rounds = []
         start = time.perf_counter()
+        paused = 0.0
         while True:
-            latencies += [self._one(idx, tracer) for idx in range(len(self.requests))]
-            if time.perf_counter() - start >= seconds:
-                return latencies
+            times = []
+            for idx in range(len(self.requests)):
+                if probe is not None:
+                    paused += probe.maybe(time.perf_counter() - start - paused)
+                times.append(self._one(idx, tracer))
+            rounds.append(times)
+            if time.perf_counter() - start - paused >= seconds:
+                return rounds
 
 
 class CliClient:
@@ -242,29 +282,19 @@ def _import_breakdown() -> dict:
     return {"import.%s_s" % pkg: s for pkg, s in importtime_seconds(text).items()}
 
 
-def _setup_seconds() -> float:
-    samples = []
-    for _ in range(SETUP_SAMPLES):
-        code, out, _ = spawn([sys.executable, "-c", IMPORT_PROBE])
-        if code != 0:
-            _stop("importing gldual failed")
-        samples.append(float(out))
-    return statistics.median(samples)
-
-
-def _trace_in_process(loop, metrics: dict) -> tuple[list[float], object, dict, list[str]]:
+def _trace_in_process(loop, metrics: dict) -> tuple[list[list[float]], object, dict, list[str]]:
     """Two traced rounds; per-layer metrics come from the first, and the
     second must repeat its exact counts."""
     import layers
     from spans import Tracer
 
     metrics.update(_import_breakdown())
-    latencies, tracers = [], []
+    rounds, tracers = [], []
     for _ in range(TRACED_ROUNDS):
         tracer = Tracer()
         patches = layers.install(tracer)
         try:
-            latencies += loop.rounds(0, tracer)
+            rounds += loop.rounds(0, tracer)
         finally:
             patches.restore()
         tracers.append(tracer)
@@ -272,21 +302,39 @@ def _trace_in_process(loop, metrics: dict) -> tuple[list[float], object, dict, l
     problems = ["exact counts differ between two traced rounds"] if counts[0] != counts[-1] else []
     metrics.update(layers.in_process_metrics(tracers[0]))
     metrics.update({name: 0.0 for name in layers.CLI_METRICS if name not in metrics})
-    return latencies, tracers[0], counts[0], problems
+    return rounds, tracers[0], counts[0], problems
 
 
-def _trace_cli(loop, metrics: dict) -> tuple[list[float], object]:
+def _trace_cli(loop, metrics: dict) -> tuple[list[list[float]], object]:
     """One round through cli_child.py; every stdout must equal the untraced one."""
     import layers
     from spans import Tracer
 
     client = CliClient(traced=True)
     loop.call = client
-    latencies = loop.rounds(0)
+    rounds = loop.rounds(0)
     tracer = Tracer()
     metrics.update(layers.in_process_metrics(tracer))
     metrics.update(layers.cli_metrics(_cli_samples(client.records, tracer)))
-    return latencies, tracer
+    return rounds, tracer
+
+
+def _worst_relerr(workload_name: str, requests, references) -> float:
+    """Worst round-trip error over every request that returned, passing its
+    oracle or not."""
+    from workloads import roundtrip_error
+
+    if workload_name != "symcoords_roundtrip":
+        return 0.0
+    errors = []
+    for idx, out in references.items():
+        if isinstance(out, Raised):
+            continue
+        try:
+            errors.append(roundtrip_error(requests[idx], out))
+        except (ValueError, IndexError, TypeError, ZeroDivisionError):
+            continue  # malformed output; its oracle already fails it
+    return max(errors, default=0.0)
 
 
 def main():
@@ -298,7 +346,7 @@ def main():
     sys.path.insert(0, SRC_DIR)
     os.makedirs(OUT_DIR, exist_ok=True)
 
-    from workloads import WORKLOADS, is_known_defect, roundtrip_error
+    from workloads import WORKLOADS, is_known_defect
 
     if args.workload not in WORKLOADS:
         _stop("unknown workload %r; choose from %s" % (args.workload, ", ".join(WORKLOADS)))
@@ -307,32 +355,33 @@ def main():
     problems: list[str] = []
     metrics: dict = {}
 
-    if not args.trace:
-        metrics["setup_s"] = _setup_seconds()
+    probe = None if args.trace else SetupProbe(args.seconds)
     measure_seconds = args.seconds / 2 if args.trace else args.seconds
 
     if workload.in_process:
         loop = Loop(requests, workload.call)
         loop.warm_up(WARMUP_REQUESTS)
-        gc.freeze()  # keep the collector off the benchmark's own long-lived data
-        latencies = loop.rounds(measure_seconds)
+        rounds = loop.rounds(measure_seconds, probe=probe)
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     else:
         client = CliClient(traced=False)
         loop = Loop(requests, client)
-        latencies = loop.rounds(measure_seconds)
+        rounds = loop.rounds(measure_seconds, probe=probe)
         peak_rss_mb = client.peak_rss_mb
+    latencies = [t for times in rounds for t in times]
+    if probe is not None:
+        metrics["setup_s"] = probe.median()
 
     counts = None
-    traced_latencies: list[float] = []
+    traced_rounds: list[list[float]] = []
     if args.trace:
         if workload.in_process:
-            traced_latencies, tracer, counts, trouble = _trace_in_process(loop, metrics)
+            traced_rounds, tracer, counts, trouble = _trace_in_process(loop, metrics)
             problems += trouble
         else:
-            traced_latencies, tracer = _trace_cli(loop, metrics)
+            traced_rounds, tracer = _trace_cli(loop, metrics)
         metrics["trace.overhead_ratio"] = (
-            len(traced_latencies) / sum(traced_latencies) / (len(latencies) / sum(latencies)))
+            sum(latencies) / len(rounds) / (sum(map(sum, traced_rounds)) / len(traced_rounds)))
         with open(os.path.join(OUT_DIR, "spans-%s-%d.json" % (args.workload, args.seed)), "w",
                   encoding="utf-8") as fh:
             json.dump(tracer.to_json(), fh)
@@ -340,8 +389,8 @@ def main():
     # oracles, outside every timed region
     verdicts = {idx: "raised %s: %s" % (out.kind, out.message) if isinstance(out, Raised)
                 else workload.check(requests[idx], out) for idx, out in loop.reference.items()}
-    measured = len(latencies) + len(traced_latencies)
-    rounds_run = measured // len(requests)
+    rounds_run = len(rounds) + len(traced_rounds)
+    measured = rounds_run * len(requests)
     # a wrong reference output fails in every round; otherwise each differing output fails
     failed = sum(rounds_run if verdicts[idx] else loop.mismatched.count(idx) for idx in verdicts)
     failures = {idx: verdicts[idx] or "output changed between rounds"
@@ -349,10 +398,7 @@ def main():
     known = [idx for idx in failures if is_known_defect(args.workload, requests[idx])]
     problems += ["request %d: %s" % (idx, why) for idx, why in failures.items() if idx not in known]
     if args.trace:
-        metrics["symfun.roundtrip_worst_relerr"] = max(
-            (roundtrip_error(requests[i], out) for i, out in loop.reference.items()
-             if args.workload == "symcoords_roundtrip" and not verdicts[i]),
-            default=0.0)
+        metrics["symfun.roundtrip_worst_relerr"] = _worst_relerr(args.workload, requests, loop.reference)
 
     outputs = [loop.reference[i] for i in range(len(requests))]
     digest = hashlib.sha256(json.dumps(
@@ -361,7 +407,11 @@ def main():
         sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     problems += _repeat_check("%s-%d-%s" % (args.workload, args.seed, _source_hash()), digest, counts)
 
-    tail_p, tail_value, beyond = tail(latencies)
+    tail_p = tail_percentile(len(requests))
+    if tail_p != workload.tail_percentile:
+        problems.append("tail percentile p%s differs from the workload's p%s; the round size changed"
+                        % (tail_p, workload.tail_percentile))
+    tail_value, beyond = percentile(latencies, tail_p)
     if not args.trace:
         metrics.update({
             "call_s_p50": percentile(latencies, "50")[0],
@@ -385,6 +435,9 @@ def main():
         "samples": len(latencies),
         "samples_beyond_tail": beyond,
         "round_size": len(requests),
+        "rounds": len(rounds),
+        "round_seconds": [sum(times) for times in rounds],
+        "setup_samples": probe.samples if probe is not None else None,
         "digest": digest,
         "exact_counts": counts,
         "failures": {str(i): why for i, why in failures.items()},
@@ -393,7 +446,8 @@ def main():
     }
     with open(os.path.join(OUT_DIR, "%s-%d-trace%d.json" % (args.workload, args.seed, args.trace)),
               "w", encoding="utf-8") as fh:
-        json.dump({"summary": summary, "result": result}, fh, indent=1, sort_keys=True)
+        json.dump({"summary": summary, "result": result, "request_seconds": rounds}, fh, indent=1,
+                  sort_keys=True)
     print(json.dumps(summary, sort_keys=True))
     print(json.dumps(result))
 

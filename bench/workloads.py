@@ -8,8 +8,11 @@ a failure message, and `encode` turns an output into canonical JSON for the
 output digest.
 
 Shapes (degrees and block counts) are fixed per round so that every seed
-costs about the same; the seed draws block order, labels, q-steps, points,
-orbits, twists, times and roots.
+costs about the same; the seed draws labels, q-steps, points, orbits,
+twists, times and roots, and block order except in fiber_search.  Round sizes are fixed too: they set the
+tail percentile of each workload (the highest with ten requests of a round
+beyond it).  An in-process round takes about 5 s on a 2-core Xeon VM, so a
+15 s run holds three or four of them.
 """
 
 from __future__ import annotations
@@ -40,11 +43,15 @@ def _labels(rng: random.Random, n: int) -> list[str]:
     return labels
 
 
-def _component(rng: random.Random, shape, scales=(1, 1, Fraction(1, 2), 2)) -> Component:
-    exponents = rng.sample(list(shape), len(shape))
+def _component(rng: random.Random, shape, layout: random.Random | None = None) -> Component:
+    """A component of the given shape with seeded labels; `layout`, if given,
+    draws the block order and q-scales instead of `rng`."""
+    layout = layout or rng
+    exponents = layout.sample(list(shape), len(shape))
+    scales = [Fraction(layout.choice((1, 1, Fraction(1, 2), 2))) for _ in exponents]
     return Component(tuple(
-        Block(label, e, Fraction(rng.choice(scales)))
-        for label, e in zip(_labels(rng, len(exponents)), exponents)
+        Block(label, e, scale)
+        for label, e, scale in zip(_labels(rng, len(exponents)), exponents, scales)
     ))
 
 
@@ -63,47 +70,43 @@ def _scalar(pair) -> QScalar:
 # ---------------------------------------------------------------------------
 # fiber_search
 
-# Every shape is queried twice in each of three ways with large outputs (a
+# Every shape is queried once in each of three ways with large outputs (a
 # full q-string, the {1,1,q,q,...} pairs, and the image of a random stratum
-# point on a few q-lines) and six times with generic points, one element per
-# q-line, whose fiber is a single point.  Degree 10 gives the largest output,
-# 512 points.  Low degrees get more shapes, so most requests are cheap.
-#
-# A round holds 200 to 1000 requests per 15 s run, so the tail stays at p95
-# when the machine runs half again as fast or as slow, and the median and
-# p95 fall on the same request of the round however many rounds fit.  The
-# fiber and HP rounds have odd sizes, so the median falls inside the repeats
-# of one request rather than between two requests of different cost.
+# point on a few q-lines) and three times with generic points, one element
+# per q-line, whose fiber is a single point.  Degree 10 gives the largest
+# output, 512 points.  Low degrees get more shapes, so most requests are
+# cheap.  Degree 9 is left out to keep a round near 5 s on a 2-core Xeon VM:
+# 102 requests, so the tail is p90.
 FIBER_SHAPES = (
     (4,), (2, 2), (3, 1),
     (5,), (3, 2), (2, 2, 1),
     (6,), (3, 3), (4, 2), (2, 2, 2),
     (7,), (4, 3), (3, 2, 2),
     (8,), (4, 4), (3, 3, 2),
-    (9,), (10,),
+    (10,),
 )
-FIBER_KINDS = ("qstring", "pairs", "image", "generic", "generic", "generic") * 2
-# Five more generic degree-10 points put p95 (the 12th costliest request)
-# inside that cluster of equal-cost requests, not at its edge.
-FIBER_ROUND = tuple((kind, shape) for shape in FIBER_SHAPES for kind in FIBER_KINDS) \
-    + (("generic", (10,)),) * 5
+FIBER_KINDS = ("qstring", "pairs", "image", "generic", "generic", "generic")
+FIBER_ROUND = tuple((kind, shape) for shape in FIBER_SHAPES for kind in FIBER_KINDS)
 
 # fiber_reference takes 0.35 s at degree 5 on a 2-core Xeon VM, ~15x more per degree
 REFERENCE_MAX_DEGREE = 5
 
 
-def _fiber_block(rng: random.Random, kind: str, e: int, scale: Fraction):
+def _fiber_block(rng: random.Random, kind: str, e: int, scale: Fraction, layout: random.Random):
+    """The query's elements in one block.  `layout` draws what sets the size of
+    an image's fiber: its cycle type and how its q-strings lie relative to
+    each other; `rng` draws where they lie."""
     base = (_half_integer(rng, 2), _turn(rng))
     if kind == "qstring":
         return combinat.string(e, base, scale)
     if kind == "pairs":
         return [(base[0] + scale * (i // 2), base[1]) for i in range(e)]
     if kind == "image":
-        parts = rng.choice(combinat.partitions_sorted(e))
+        parts = layout.choice(combinat.partitions_sorted(e))
         turns = (base[1], (base[1] + Fraction(1, 2)) % 1)
         elements = []
         for alpha in parts:
-            center = (base[0] + scale * Fraction(rng.randint(-2, 2), 2), rng.choice(turns))
+            center = (base[0] + scale * Fraction(layout.randint(-2, 2), 2), layout.choice(turns))
             elements += combinat.string(alpha, center, scale)
         return elements
     turns = rng.sample(range(97), e)
@@ -111,10 +114,15 @@ def _fiber_block(rng: random.Random, kind: str, e: int, scale: Fraction):
 
 
 def make_fiber_search(rng: random.Random) -> list:
+    # A fiber's cost follows its layout: a degree-10 image cost between 0.3 s
+    # and 1.3 s from one seed to the next, and a q-scale of 1/2 or 2 can
+    # double the cost of a search.  The layouts are the same for every seed,
+    # so each seed costs about the same.
+    layout = random.Random("fiber_search:layout")
     requests = []
     for kind, shape in FIBER_ROUND:
-        component = _component(rng, shape)
-        blocks = [_fiber_block(rng, kind, b.exponent, b.q_scale) for b in component.blocks]
+        component = _component(rng, shape, layout)
+        blocks = [_fiber_block(rng, kind, b.exponent, b.q_scale, layout) for b in component.blocks]
         point = SymPoint(tuple(tuple(_scalar(z) for z in block) for block in blocks))
         requests.append((kind, component, point))
     rng.shuffle(requests)
@@ -188,6 +196,7 @@ HP_SHAPES = (
     (14,), (5, 5, 4), (16,), (4, 4, 4, 4),
 )
 HP_KINDS = ("hp", "strata", "temper")
+HP_DRAWS = 2  # per shape and kind: 138 requests, so the tail is p90
 
 
 def _parameter(rng: random.Random, component: Component):
@@ -205,7 +214,7 @@ def _parameter(rng: random.Random, component: Component):
 def make_hp_orbits(rng: random.Random) -> list:
     requests = []
     for shape in HP_SHAPES:
-        for kind in HP_KINDS:
+        for kind in HP_KINDS * HP_DRAWS:
             component = _component(rng, shape)
             extra = _parameter(rng, component) if kind == "temper" else None
             requests.append((kind, component, extra))
@@ -299,9 +308,10 @@ def encode_hp_orbits(out):
 # symcoords_roundtrip
 
 SYM_DEGREES = range(2, 13)
-# a root-finding call costs more or less with its roots: many per degree even it out
-SYM_SEPARATED_PER_DEGREE = 18
-SYM_DOUBLE_PER_DEGREE = 2
+# a root-finding call costs more or less with its roots: many per degree even
+# it out; 154 requests, so the tail is p90
+SYM_SEPARATED_PER_DEGREE = 13
+SYM_DOUBLE_PER_DEGREE = 1
 SYM_TOLERANCE = {False: 1e-9, True: 1e-6}  # well separated / with a double root
 
 
@@ -366,10 +376,10 @@ def encode_symcoords_roundtrip(out):
 
 CLI_VERBS = ("strata", "orbits", "hp", "project", "project_q", "fiber", "temper",
              "homotopy", "symcoords")
-# three of each verb, two refusals and one known defect: 30 requests, so that
-# a round outlasts 15 s even on a fast machine and the tail stays at p50
-CLI_VALID_PER_ROUND = 3
-CLI_REFUSALS_PER_ROUND = 2
+# two of each verb, one refusal and one known defect: 20 requests, one round
+# of about 18 s on a 2-core Xeon VM, so the tail is p50 and equals the median
+CLI_VALID_PER_ROUND = 2
+CLI_REFUSALS_PER_ROUND = 1
 
 
 def _fmt_scalar(z: QScalar) -> str:
@@ -424,7 +434,7 @@ def _cli_valid(rng: random.Random, verb: str):
     if verb == "fiber":
         component = Component.from_exponents(rng.choice(((2,), (3,), (4,), (2, 1), (2, 2), (3, 1))))
         kind = rng.choice(("qstring", "image", "generic"))
-        blocks = [_fiber_block(rng, kind, b.exponent, b.q_scale) for b in component.blocks]
+        blocks = [_fiber_block(rng, kind, b.exponent, b.q_scale, rng) for b in component.blocks]
         point = SymPoint(tuple(tuple(_scalar(z) for z in block) for block in blocks))
         text = "(%s)" % ",".join(map(str, component.exponents))
         return ["fiber", "--component", text, "--point", _fmt_multiset(point.blocks)], \
@@ -580,16 +590,18 @@ class Workload:
     check: object
     encode: object
     in_process: bool
+    tail_percentile: str  # fixed by the round size; a run that computes another one is flagged
 
 
 WORKLOADS = {
-    "cli_cold": Workload(make_cli_cold, None, check_cli_cold, encode_cli_cold, False),
+    "cli_cold": Workload(make_cli_cold, None, check_cli_cold, encode_cli_cold, False, "50"),
     "fiber_search": Workload(make_fiber_search, call_fiber_search, check_fiber_search,
-                             encode_fiber_search, True),
+                             encode_fiber_search, True, "90"),
     "hp_orbits": Workload(make_hp_orbits, call_hp_orbits, check_hp_orbits,
-                          encode_hp_orbits, True),
+                          encode_hp_orbits, True, "90"),
     "symcoords_roundtrip": Workload(make_symcoords_roundtrip, call_symcoords_roundtrip,
-                                    check_symcoords_roundtrip, encode_symcoords_roundtrip, True),
+                                    check_symcoords_roundtrip, encode_symcoords_roundtrip, True,
+                                    "90"),
 }
 
 
