@@ -1,11 +1,12 @@
 """Run one workload of the gldual benchmark and print its metrics.
 
-    python3 bench/run.py --workload fiber_search --seed 1 --seconds 15 --trace 0
+    python3 bench/run.py --workload fiber_search --seed 1 --seconds 24 --trace 0
 
 Run from the root of a source checkout: the program is imported from `src/`.
 Each workload is a closed loop with one client: the next request starts when
 the previous one has returned.  The loop repeats a seeded round of requests
-and stops at the first round boundary after `--seconds`.  The tail
+and stops at the first round boundary after `--seconds`; setup probes run
+between requests inside that window.  The tail
 percentile is fixed by the round size, so it does not change with the
 number of rounds that fit.
 
@@ -39,7 +40,7 @@ SRC_DIR = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".bench_out")
 CHILD_SCRIPT = os.path.join(BENCH_DIR, "cli_child.py")
 
-SETUP_SAMPLES = 9  # spread evenly through the measured loop
+SETUP_SAMPLES = 9  # spread evenly through the measured window
 IMPORT_PROBE = "import time; t0 = time.perf_counter(); import gldual; print(time.perf_counter() - t0)"
 # the tail is the highest of these with at least ten samples beyond it in one round
 TAIL_PERCENTILES = ("99.9", "99", "95", "90", "75", "50")
@@ -65,10 +66,24 @@ def _parse_args():
 
 
 def percentile(latencies: list[float], p: str) -> tuple[float, int]:
-    """(value, samples beyond it) of a percentile by the nearest-rank method."""
+    """(value, samples beyond it) of a percentile.
+
+    The value is the Harrell-Davis estimate: a mean of all order statistics
+    weighted by the Beta((n+1)q, (n+1)(1-q)) density at the middle of each
+    one's interval, q = p/100.  A single order statistic jumps when the rank
+    falls between two groups of requests of different cost; this estimate
+    moves smoothly.  The samples beyond it are counted by nearest rank.
+    """
     ordered = sorted(latencies)
-    rank = max(1, math.ceil(Fraction(p) * len(ordered) / 100))
-    return ordered[rank - 1], len(ordered) - rank
+    n = len(ordered)
+    q = float(Fraction(p) / 100)
+    a, b = (n + 1) * q, (n + 1) * (1 - q)
+    logs = [(a - 1) * math.log((i + 0.5) / n) + (b - 1) * math.log1p(-(i + 0.5) / n)
+            for i in range(n)]
+    top = max(logs)
+    weights = [math.exp(x - top) for x in logs]
+    value = math.fsum(w * t for w, t in zip(weights, ordered)) / math.fsum(weights)
+    return value, n - max(1, math.ceil(Fraction(p) * n / 100))
 
 
 def tail_percentile(round_size: int) -> str:
@@ -138,7 +153,7 @@ class SetupProbe:
     """`import gldual` timed in fresh processes, spread through the loop."""
 
     def __init__(self, seconds: float):
-        self.every = seconds / (SETUP_SAMPLES - 1)
+        self.every = seconds / SETUP_SAMPLES
         self.samples: list[float] = []
 
     def run(self):
@@ -147,13 +162,10 @@ class SetupProbe:
             _stop("importing gldual failed")
         self.samples.append(float(out))
 
-    def maybe(self, clock: float) -> float:
-        """Probe once if one is due at this time of the loop; the wall time spent."""
-        if len(self.samples) >= SETUP_SAMPLES or clock < len(self.samples) * self.every:
-            return 0.0
-        t0 = time.perf_counter()
-        self.run()
-        return time.perf_counter() - t0
+    def maybe(self, clock: float):
+        """Probe once if one is due at this time of the loop."""
+        if len(self.samples) < SETUP_SAMPLES and clock >= len(self.samples) * self.every:
+            self.run()
 
     def median(self) -> float:
         while len(self.samples) < SETUP_SAMPLES:
@@ -206,18 +218,17 @@ class Loop:
 
     def rounds(self, seconds: float, tracer=None, probe=None) -> list[list[float]]:
         """Whole rounds until `seconds` have passed; per round, the time of
-        each request.  Time spent in setup probes does not count."""
+        each request.  Setup probes run between requests inside the window."""
         rounds = []
         start = time.perf_counter()
-        paused = 0.0
         while True:
             times = []
             for idx in range(len(self.requests)):
                 if probe is not None:
-                    paused += probe.maybe(time.perf_counter() - start - paused)
+                    probe.maybe(time.perf_counter() - start)
                 times.append(self._one(idx, tracer))
             rounds.append(times)
-            if time.perf_counter() - start - paused >= seconds:
+            if time.perf_counter() - start >= seconds:
                 return rounds
 
 

@@ -9,10 +9,11 @@ output digest.
 
 Shapes (degrees and block counts) are fixed per round so that every seed
 costs about the same; the seed draws labels, q-steps, points, orbits,
-twists, times and roots, and block order except in fiber_search.  Round sizes are fixed too: they set the
-tail percentile of each workload (the highest with ten requests of a round
-beyond it).  An in-process round takes about 5 s on a 2-core Xeon VM, so a
-15 s run holds three or four of them.
+twists, times and roots, and block order except in fiber_search.  Round
+sizes are fixed too: they set the tail percentile of each workload (the
+highest with ten requests of a round beyond it).  An in-process round takes
+about 5-7 s on a 2-core Xeon VM, so a 24 s run holds two to four of them
+besides its setup probes.
 """
 
 from __future__ import annotations
@@ -377,7 +378,8 @@ def encode_symcoords_roundtrip(out):
 CLI_VERBS = ("strata", "orbits", "hp", "project", "project_q", "fiber", "temper",
              "homotopy", "symcoords")
 # two of each verb, one refusal and one known defect: 20 requests, one round
-# of about 18 s on a 2-core Xeon VM, so the tail is p50 and equals the median
+# of about 21 s on a 2-core Xeon VM (28 s with the setup probes, so a 24 s run
+# holds one round), and the tail is p50, equal to the median
 CLI_VALID_PER_ROUND = 2
 CLI_REFUSALS_PER_ROUND = 1
 
