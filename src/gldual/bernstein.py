@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import LimitExceeded
 from .parameters import InertialClass, OrbitDescriptor, WeilLabel
 from .partitions import multipartitions, part_multiplicities
+from .scalars import exact_int, exact_rational
 
 __all__ = [
     "Block",
@@ -93,7 +94,11 @@ class Component:
     def from_json(cls, data: dict) -> Component:
         return cls(
             tuple(
-                Block(b["label"], int(b["exponent"]), Fraction(b.get("q_scale", 1)))
+                Block(
+                    b["label"],
+                    exact_int(b["exponent"], "exponent"),
+                    exact_rational(b.get("q_scale", 1), "q_scale"),
+                )
                 for b in data["blocks"]
             )
         )
@@ -169,7 +174,12 @@ class Stratum:
 
     @classmethod
     def from_json(cls, data: dict, component: Component) -> Stratum:
-        return cls(component, CycleType(tuple(tuple(p) for p in data["cycle_type"])))
+        return cls(
+            component,
+            CycleType(
+                tuple(tuple(exact_int(x, "cycle part") for x in p) for p in data["cycle_type"])
+            ),
+        )
 
 
 def _check_degree(component: Component, max_degree: int):

@@ -21,7 +21,7 @@ from .errors import LimitExceeded, RootFindingError
 from .parameters import LParameter
 from .qproj import FIBER_LIMIT, StratumPoint, SymPoint, fiber, project
 from .retract import homotopy, homotopy_point, temper_parameter, temper_point
-from .scalars import QScalar
+from .scalars import QScalar, exact_rational
 from .symfun import SymCoords, from_sym_coords, to_sym_coords
 
 
@@ -43,9 +43,9 @@ def parse_scalar(text: str) -> QScalar:
         if factor == "q":
             q_exp += 1
         elif factor.startswith("q^"):
-            q_exp += Fraction(factor[2:].strip().strip("{}"))
+            q_exp += exact_rational(factor[2:].strip().strip("{}"), "q exponent")
         elif factor.startswith("e(") and factor.endswith(")"):
-            turn += Fraction(factor[2:-1].strip())
+            turn += exact_rational(factor[2:-1].strip(), "turn")
         else:
             raise ValueError("cannot parse scalar factor %r" % factor)
     return QScalar(q_exp, turn)
@@ -146,7 +146,7 @@ def _cmd_temper(args) -> tuple[int, dict]:
 
 def _cmd_homotopy(args) -> tuple[int, dict]:
     obj = _parse_carrier(args.input)
-    t = Fraction(args.t)
+    t = exact_rational(args.t, "t")
     result = homotopy(obj, t) if isinstance(obj, LParameter) else homotopy_point(obj, t)
     return 0, {"t": str(t), "result": result.to_json()}
 
@@ -237,8 +237,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict):
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+def _dumps(report: dict) -> str:
+    # allow_nan=False: a non-finite float is refused, never printed as Infinity
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+
+def _emit_error(kind: str, exc) -> None:
+    sys.stdout.write(_dumps({"error": {"type": kind, "message": str(exc)}}))
 
 
 def main(argv=None) -> int:
@@ -247,20 +252,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         if exc.code in (0, None):  # --help and friends
             return 0
-        _emit({"error": {"type": "validation", "message": "invalid arguments"}})
+        _emit_error("validation", "invalid arguments")
         return 2
     if getattr(args, "max_degree", None) is None and hasattr(args, "default_degree"):
         args.max_degree = args.default_degree
     try:
+        if getattr(args, "max_degree", None) is not None and args.max_degree < 0:
+            raise ValueError("--max-degree must be nonnegative, got %d" % args.max_degree)
         code, report = args.handler(args)
+        text = _dumps(report)
     except LimitExceeded as exc:
-        _emit({"error": {"type": "limit", "message": str(exc)}})
+        _emit_error("limit", exc)
         return 3
     except (ValueError, KeyError, TypeError, ZeroDivisionError,
             json.JSONDecodeError, RootFindingError) as exc:
-        _emit({"error": {"type": "validation", "message": str(exc)}})
+        _emit_error("validation", exc)
         return 2
-    _emit(report)
+    sys.stdout.write(text)
     return code
 
 

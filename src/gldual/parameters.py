@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import ONE, QScalar
+from .scalars import ONE, QScalar, exact_int, exact_rational
 
 __all__ = [
     "WeilLabel",
@@ -89,9 +89,12 @@ class InertialClass:
     @classmethod
     def from_json(cls, data: dict) -> InertialClass:
         rho = data["rho"]
+        unitary_det = rho.get("unitary_det", True)
+        if not isinstance(unitary_det, bool):
+            raise ValueError("unitary_det must be a boolean, got %r" % (unitary_det,))
         return cls(
-            WeilLabel(rho["id"], int(rho.get("dim", 1)), bool(rho.get("unitary_det", True))),
-            Fraction(data["j"]),
+            WeilLabel(rho["id"], exact_int(rho.get("dim", 1), "dim"), unitary_det),
+            exact_rational(data["j"], "j"),
         )
 
 
@@ -171,7 +174,10 @@ class OrbitDescriptor:
     @classmethod
     def from_json(cls, data: dict) -> OrbitDescriptor:
         return cls(
-            tuple((InertialClass.from_json(c), int(c["multiplicity"])) for c in data["classes"])
+            tuple(
+                (InertialClass.from_json(c), exact_int(c["multiplicity"], "multiplicity"))
+                for c in data["classes"]
+            )
         )
 
 

@@ -10,10 +10,20 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["QScalar", "ONE", "q_power", "unit"]
+__all__ = ["QScalar", "ONE", "q_power", "unit", "exact_int", "exact_rational",
+           "MAX_DECIMAL_EXPONENT"]
+
+# A decimal exponent builds a power of ten: "1e400" is five characters of text
+# but a 401-digit integer.  Parsed rationals with a larger exponent are refused
+# while still text.
+MAX_DECIMAL_EXPONENT = 100
+
+_EXPONENT = re.compile(r"[eE]\s*([-+]?[0-9_]+)\s*$")
 
 
 def _fraction(x) -> Fraction:
@@ -22,6 +32,29 @@ def _fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("exact rational required, got float %r" % x)
     return Fraction(x)
+
+
+def exact_int(value, what: str) -> int:
+    """A parsed integer: an int or a string of digits, never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """A parsed rational: an int or a string such as '3', '-1/2' or '0.25'.
+
+    Bools and floats are refused, as is a decimal exponent beyond
+    MAX_DECIMAL_EXPONENT, before any large integer is built.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError("%s must be an integer or a rational string, got %r" % (what, value))
+    if isinstance(value, str):
+        m = _EXPONENT.search(value)
+        if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
+            raise ValueError("%s has a decimal exponent beyond %d: %r"
+                             % (what, MAX_DECIMAL_EXPONENT, value))
+    return Fraction(value)
 
 
 @functools.total_ordering
@@ -57,10 +90,20 @@ class QScalar:
         return self.q_exp == 0
 
     def to_complex(self, q: float) -> complex:
-        """Evaluate at a numeric q > 1 (floating point)."""
-        if not q > 1:
-            raise ValueError("q must be a real number > 1, got %r" % q)
-        return float(q) ** float(self.q_exp) * cmath.exp(2j * cmath.pi * float(self.turn))
+        """Evaluate at a finite numeric q > 1 (floating point).
+
+        Raises ValueError for any other q, and when |z| = q^q_exp overflows a
+        float or underflows to 0, which is not a point of the punctured plane.
+        """
+        if not 1 < q < math.inf:
+            raise ValueError("q must be a finite real number > 1, got %r" % q)
+        try:
+            modulus = float(q) ** float(self.q_exp)
+        except OverflowError:
+            modulus = math.inf
+        if not 0 < modulus < math.inf:
+            raise ValueError("q^%s is out of float range at q = %r" % (self.q_exp, q))
+        return modulus * cmath.exp(2j * cmath.pi * float(self.turn))
 
     def __lt__(self, other: QScalar) -> bool:
         return (self.q_exp, self.turn) < (other.q_exp, other.turn)
@@ -78,7 +121,7 @@ class QScalar:
 
     @classmethod
     def from_json(cls, data: dict) -> QScalar:
-        return cls(Fraction(data["q_exp"]), Fraction(data["turn"]))
+        return cls(exact_rational(data["q_exp"], "q_exp"), exact_rational(data["turn"], "turn"))
 
 
 ONE = QScalar(Fraction(0), Fraction(0))

@@ -7,15 +7,18 @@ x^n - sigma_1 x^(n-1) + ... + (-1)^n sigma_n by simultaneous iteration with a
 bounded step budget.  Together the two maps certify, at sample points, that
 the n-th symmetric power of the punctured plane is the product of an affine
 (n-1)-space with a punctured affine line.
+
+Only the root finder needs a third-party package: mpmath is imported on the
+first call to :func:`from_sym_coords`, so importing this module (and with it
+``gldual`` and its command line) loads nothing beyond the standard library.
+Recovered roots are paired with the originals by :func:`match_multisets`, a
+pure-Python Hungarian algorithm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import mpmath
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import RootFindingError
 
@@ -61,6 +64,8 @@ def from_sym_coords(coords: SymCoords, max_steps: int = 100) -> tuple[complex, .
     Raises RootFindingError if the simultaneous iteration has not converged
     after max_steps steps.
     """
+    import mpmath  # deferred: the exact layers never pay for its import
+
     n = len(coords.sigma)
     monic = [mpmath.mpc(1)] + [
         (-1) ** (k + 1) * mpmath.mpc(coords.sigma[k]) for k in range(n)
@@ -78,13 +83,57 @@ def from_sym_coords(coords: SymCoords, max_steps: int = 100) -> tuple[complex, .
 def match_multisets(a, b) -> list[tuple[int, int]]:
     """Optimal pairing of two equal-size multisets under absolute-difference cost.
 
-    Returns index pairs (i, j) matching a[i] with b[j]; well-defined even for
-    clustered values, unlike greedy nearest-neighbor matching.
+    Returns index pairs (i, j), sorted by i, matching a[i] with b[j] so that
+    the total of |a[i] - b[j]| is minimal; well-defined even for clustered
+    values, unlike greedy nearest-neighbor matching.  The assignment is the
+    Hungarian algorithm with row and column potentials (Kuhn 1955; Munkres
+    1957), O(n^3) in pure Python.  With integer-valued costs every potential
+    is exact, so the minimum is too.
     """
     a = [complex(x) for x in a]
     b = [complex(x) for x in b]
     if len(a) != len(b):
         raise ValueError("multisets must have equal size")
-    cost = np.array([[abs(x - y) for y in b] for x in a])
-    rows, cols = linear_sum_assignment(cost)
-    return list(zip(rows.tolist(), cols.tolist()))
+    cost = [[abs(x - y) for y in b] for x in a]
+    if not all(math.isfinite(c) for row in cost for c in row):
+        raise ValueError("points must be finite")
+    n = len(a)
+    # Shortest augmenting paths over 1-based columns; column 0 is the root.
+    # row_of[j] is the row assigned to column j (0 while free), u and v are
+    # the potentials, with cost[i][j] - u[i] - v[j] >= 0 on every pair.
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    row_of = [0] * (n + 1)
+    prev = [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            row = cost[i0 - 1]
+            ui = u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], prev[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            if not j1:
+                raise ValueError("assignment costs overflowed")
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the root
+            j1 = prev[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return sorted((row_of[j] - 1, j - 1) for j in range(1, n + 1))

@@ -172,6 +172,59 @@ def test_limit_refusal_exit_code(capsys):
     assert code == 0
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError("non-JSON token %s" % token)
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _phi(rho, j):
+    return json.dumps({"summands": [{"rho": rho, "j": j, "twist": {"q_exp": "1", "turn": "0"}}]})
+
+
+@pytest.mark.parametrize("argv", [
+    # q^2000 overflows a float: was an uncaught OverflowError with exit 1
+    ["project", "--component", "(1)", "--cycle", "(1)", "--coords", "{q^2000}", "--q", "9"],
+    # q^-2000 underflows: was a silent 0.0
+    ["project", "--component", "(1)", "--cycle", "(1)", "--coords", "{q^-2000}", "--q", "9"],
+    # a non-finite q: was a silent 0.0 for negative powers ...
+    ["project", "--component", "(1)", "--cycle", "(1)", "--coords", "{q^-3}", "--q", "inf"],
+    # ... and the non-JSON token Infinity for positive ones
+    ["project", "--component", "(1)", "--cycle", "(1)", "--coords", "{q^3}", "--q", "inf"],
+    ["project", "--component", "(1)", "--cycle", "(1)", "--coords", "{q}", "--q", "nan"],
+    # JSON booleans where integers belong: were read as 1
+    ["hp", "--component", '{"blocks": [{"label": "a", "exponent": true}]}'],
+    ["temper", "--input", _phi({"id": "a", "dim": True}, "0")],
+    ["project", "--point", json.dumps({
+        "component": {"blocks": [{"label": "a", "exponent": 2}]},
+        "cycle_type": [[True, True]], "coords": [{"q_exp": "0", "turn": "0"}] * 2})],
+    # a spin of 401 digits, refused while still text
+    ["temper", "--input", _phi({"id": "a"}, "1e400")],
+    # a time whose denominator would have a billion digits
+    ["homotopy", "--t", "1e-1000000000", "--input", _phi({"id": "a"}, "0")],
+    # a negative size guard: was reported as a limit refusal
+    ["strata", "--component", "(3)", "--max-degree", "-1"],
+    ["fiber", "--component", "(2)", "--point", "{1,q}", "--max-degree", "-2"],
+], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
+        "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
+        "negative-fiber-degree"])
+def test_boundary_inputs_are_validation_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert _strict_json(captured.out)["error"]["type"] == "validation"
+    assert "Traceback" not in captured.err
+
+
+def test_non_finite_output_is_refused_not_printed(capsys):
+    # 1e300 * 1e300 overflows sigma_2; the report would hold Infinity
+    points = json.dumps([{"re": 1e300, "im": 0}, {"re": 1e300, "im": 0}])
+    code = main(["symcoords", "--points", points])
+    assert code == 2
+    assert _strict_json(capsys.readouterr().out)["error"]["type"] == "validation"
+
+
 def test_output_is_byte_identical_across_runs(capsys):
     _, _, first = run_cli(capsys, "fiber", "--component", "(3)", "--point", "{q^-1,1,q}")
     _, _, second = run_cli(capsys, "fiber", "--component", "(3)", "--point", "{q^-1,1,q}")

@@ -1,0 +1,47 @@
+"""The exact layers and the command line load no numeric third-party package."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gldual
+
+NUMERIC = ("numpy", "scipy", "mpmath")
+SRC = str(Path(gldual.__file__).resolve().parent.parent)
+
+# Runs argv through gldual.cli in-process, then reports the numeric packages
+# that ended up in sys.modules.
+PROBE = """
+import json, sys
+import gldual, gldual.cli
+argv = json.loads(sys.argv[1])
+code = gldual.cli.main(argv) if argv else 0
+sys.stdout.flush()
+sys.stderr.write(json.dumps([code, sorted(m for m in %r if m in sys.modules)]))
+""" % (NUMERIC,)
+
+
+def _loaded(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(list(argv))],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    return code, loaded
+
+
+def test_import_loads_no_numeric_package():
+    assert _loaded() == (0, [])
+
+
+def test_exact_verbs_load_no_numeric_package():
+    assert _loaded("hp", "--component", "(3)") == (0, [])
+    assert _loaded("fiber", "--component", "(3)", "--point", "{q^-1,1,q}") == (0, [])
+    assert _loaded("symcoords", "--points", '[{"re": 2}, {"re": 3}]') == (0, [])
+
+
+def test_root_finding_loads_mpmath_only():
+    sigma = json.dumps([{"re": 5, "im": 0}, {"re": 6, "im": 0}])
+    assert _loaded("symcoords", "--sigma", sigma) == (0, ["mpmath"])

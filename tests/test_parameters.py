@@ -180,3 +180,22 @@ def test_json_shape():
             }
         ]
     }
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dim", True), ("dim", 2.0), ("unitary_det", "false"), ("j", True), ("j", 0.5),
+    ("j", "1e400"),
+])
+def test_from_json_refuses_inexact_fields(field, value):
+    data = {"rho": {"id": "a", "dim": 1, "unitary_det": True}, "j": "1/2"}
+    (data["rho"] if field in data["rho"] else data)[field] = value
+    with pytest.raises(ValueError):
+        InertialClass.from_json(data)
+
+
+def test_orbit_from_json_refuses_bool_multiplicity():
+    data = OrbitDescriptor(((cls(), 1),)).to_json()
+    assert OrbitDescriptor.from_json(data).multiplicities == (1,)
+    data["classes"][0]["multiplicity"] = True
+    with pytest.raises(ValueError):
+        OrbitDescriptor.from_json(data)

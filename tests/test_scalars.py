@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gldual.scalars import ONE, QScalar, q_power, unit
+from gldual.scalars import ONE, QScalar, exact_int, exact_rational, q_power, unit
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 qscalars = st.builds(QScalar, rationals, rationals)
@@ -40,6 +40,37 @@ def test_to_complex_rejects_small_q():
         ONE.to_complex(1)
     with pytest.raises(ValueError):
         ONE.to_complex(0.5)
+
+
+@pytest.mark.parametrize("q", [float("inf"), float("nan"), -float("inf")])
+def test_to_complex_rejects_non_finite_q(q):
+    # inf ** -3 would be a silent 0.0, inf ** 3 an Infinity
+    for z in (q_power(-3), ONE, q_power(3)):
+        with pytest.raises(ValueError):
+            z.to_complex(q)
+
+
+def test_to_complex_out_of_float_range_is_a_value_error():
+    # overflow was an uncaught OverflowError, underflow a silent 0.0
+    for a in (2000, -2000):
+        with pytest.raises(ValueError, match="out of float range"):
+            q_power(a).to_complex(9)
+    assert q_power(300).to_complex(9).real > 1e285  # large but representable
+    assert 0 < q_power(-330).to_complex(9).real < 1e-310  # subnormal, not zero
+
+
+def test_exact_parsers_refuse_bools_floats_and_huge_exponents():
+    assert exact_int(3, "n") == 3 and exact_int("3", "n") == 3
+    assert exact_rational("-1/2", "x") == F(-1, 2) and exact_rational("0.25", "x") == F(1, 4)
+    assert exact_rational("1e100", "x") == 10**100
+    for bad in (True, False, 2.0, None, [1]):
+        with pytest.raises(ValueError):
+            exact_int(bad, "n")
+        with pytest.raises(ValueError):
+            exact_rational(bad, "x")
+    for huge in ("1e400", "1E-400", "1e+101", "0e1_000_000_000"):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            exact_rational(huge, "x")
 
 
 def test_turn_is_normalized():

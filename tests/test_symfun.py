@@ -1,7 +1,10 @@
 import cmath
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gldual.errors import RootFindingError
 from gldual.symfun import SymCoords, from_sym_coords, match_multisets, to_sym_coords
@@ -100,3 +103,48 @@ def test_match_multisets_is_optimal_not_greedy():
 def test_match_multisets_size_mismatch():
     with pytest.raises(ValueError):
         match_multisets([1], [1, 2])
+
+
+def _brute_force_minimum(a, b):
+    return min(sum(abs(x - b[j]) for x, j in zip(a, perm))
+               for perm in itertools.permutations(range(len(b))))
+
+
+def _assert_optimal(a, b, exact):
+    pairs = match_multisets(a, b)
+    n = len(a)
+    assert [i for i, _ in pairs] == list(range(n))
+    assert sorted(j for _, j in pairs) == list(range(n))
+    total = sum(abs(a[i] - b[j]) for i, j in pairs)
+    best = _brute_force_minimum(a, b)
+    if exact:
+        assert total == best
+    else:
+        assert total == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+# few distinct values, so the multisets repeat values and optimal pairings tie
+grid = st.integers(-2, 2)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(grid, min_size=n, max_size=n), st.lists(grid, min_size=n, max_size=n))))
+def test_match_multisets_is_a_minimum_on_the_line(ab):
+    # integer costs keep the potentials exact, so the totals agree exactly
+    _assert_optimal(*ab, exact=True)
+
+
+gaussian = st.builds(complex, grid, grid)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(gaussian, min_size=n, max_size=n), st.lists(gaussian, min_size=n, max_size=n))))
+def test_match_multisets_is_a_minimum_in_the_plane(ab):
+    _assert_optimal(*ab, exact=False)
+
+
+def test_match_multisets_refuses_non_finite_points():
+    with pytest.raises(ValueError):
+        match_multisets([float("inf")], [1])
+    with pytest.raises(ValueError):
+        match_multisets([complex("nan")], [1])
