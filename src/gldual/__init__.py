@@ -1,9 +1,10 @@
 """Exact geometric invariants of the smooth dual of p-adic GL(n).
 
 Orbits of Langlands parameters and their (l, k) shapes, Bernstein components
-with their extended-quotient strata, periodic cyclic homology dimensions via
-exact Molien averaging, the q-projection with complete fiber enumeration, and
-the tempering retraction onto the tempered dual.
+with their extended-quotient strata, periodic cyclic homology dimensions from
+the per-stratum cohomology (1+t)^k (with exact Molien averaging kept as the
+cross-check), the q-projection with complete fiber enumeration, and the
+tempering retraction onto the tempered dual.
 """
 
 from .bernstein import (

@@ -182,24 +182,20 @@ class Stratum:
         )
 
 
-def _check_degree(component: Component, max_degree: int):
+def enumerate_strata(component: Component, max_degree: int = STRATA_LIMIT) -> list[Stratum]:
+    """All strata of the extended quotient, one per multipartition, in canonical order."""
     if component.degree > max_degree:
         raise LimitExceeded(
             "component degree %d exceeds the limit %d" % (component.degree, max_degree)
         )
-
-
-def enumerate_strata(component: Component, max_degree: int = STRATA_LIMIT) -> list[Stratum]:
-    """All strata of the extended quotient, one per multipartition, in canonical order."""
-    _check_degree(component, max_degree)
     return [
         Stratum(component, CycleType(mp)) for mp in multipartitions(component.exponents)
     ]
 
 
-def _orbit_for(component: Component, mp: tuple[tuple[int, ...], ...]) -> OrbitDescriptor:
+def _orbit_for(stratum: Stratum) -> OrbitDescriptor:
     classes = []
-    for block, parts in zip(component.blocks, mp):
+    for block, parts in zip(stratum.component.blocks, stratum.cycle_type.parts_per_block):
         rho = block.weil_label()
         for part, mult in part_multiplicities(parts):
             classes.append((InertialClass(rho, Fraction(part - 1, 2)), mult))
@@ -215,19 +211,14 @@ def enumerate_orbits(
     (label_i, spin((alpha-1)/2)) with the part's multiplicity; the orbits are
     enumerated in the same multipartition order as the strata.
     """
-    _check_degree(component, max_degree)
-    return [_orbit_for(component, mp) for mp in multipartitions(component.exponents)]
+    return [_orbit_for(s) for s in enumerate_strata(component, max_degree)]
 
 
 def orbit_stratum_bijection(
     component: Component, max_degree: int = STRATA_LIMIT
 ) -> list[tuple[OrbitDescriptor, Stratum]]:
     """Pair each orbit with the stratum arising from the same multipartition."""
-    _check_degree(component, max_degree)
-    return [
-        (_orbit_for(component, mp), Stratum(component, CycleType(mp)))
-        for mp in multipartitions(component.exponents)
-    ]
+    return [(_orbit_for(s), s) for s in enumerate_strata(component, max_degree)]
 
 
 def stratum_quotient_shape(stratum: Stratum) -> tuple[int, ...]:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .bernstein import Component, CycleType, Stratum, enumerate_orbits, enumerate_strata
+from .bernstein import (
+    STRATA_LIMIT, Component, CycleType, Stratum, enumerate_orbits, enumerate_strata,
+)
 from .cohomology import component_hp, orbit_hp_dimension
 from .errors import LimitExceeded, RootFindingError
 from .parameters import LParameter
@@ -68,6 +71,28 @@ def _parse_sym_point(text: str) -> SymPoint:
     if text.startswith("{"):
         return SymPoint(tuple(_parse_scalar_list(part) for part in text.split(";")))
     return SymPoint.from_json(json.loads(text))
+
+
+def _finite_float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("%s must be a JSON number, got %r" % (name, value))
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    return out
+
+
+def _parse_complex_list(text: str, what: str) -> list[complex]:
+    """A JSON list of {re, im} objects (im defaults to 0) as finite complex numbers."""
+
+    def refuse(token):
+        raise ValueError("non-finite token %s in %s" % (token, what))
+
+    return [complex(_finite_float(d["re"], "re"), _finite_float(d.get("im", 0.0), "im"))
+            for d in json.loads(_load_text(text), parse_constant=refuse)]
 
 
 def _complex_json(z: complex) -> dict:
@@ -155,12 +180,12 @@ def _cmd_symcoords(args) -> tuple[int, dict]:
     if (args.points is None) == (args.sigma is None):
         raise ValueError("need exactly one of --points or --sigma")
     if args.points is not None:
-        pts = [complex(d["re"], d.get("im", 0.0)) for d in json.loads(_load_text(args.points))]
+        pts = _parse_complex_list(args.points, "--points")
         if args.n is not None and len(pts) != args.n:
             raise ValueError("expected %d points, got %d" % (args.n, len(pts)))
         sigma = to_sym_coords(pts).sigma
         return 0, {"sigma": [_complex_json(s) for s in sigma]}
-    sigma = [complex(d["re"], d.get("im", 0.0)) for d in json.loads(_load_text(args.sigma))]
+    sigma = _parse_complex_list(args.sigma, "--sigma")
     if args.n is not None and len(sigma) != args.n:
         raise ValueError("expected %d coordinates, got %d" % (args.n, len(sigma)))
     roots = from_sym_coords(SymCoords(tuple(sigma)))
@@ -188,15 +213,15 @@ def _build_parser() -> argparse.ArgumentParser:
     def with_component(p):
         p.add_argument("--component", required=True,
                        help="component JSON, @file, or exponent shorthand like '(2,1)'")
-        p.add_argument("--max-degree", type=int, default=None)
+        p.add_argument("--max-degree", type=int, default=STRATA_LIMIT)
         return p
 
     p = with_component(sub.add_parser("strata", help="extended-quotient strata"))
-    p.set_defaults(handler=_cmd_strata, default_degree=20)
+    p.set_defaults(handler=_cmd_strata)
     p = with_component(sub.add_parser("orbits", help="parameter orbits over a component"))
-    p.set_defaults(handler=_cmd_orbits, default_degree=20)
+    p.set_defaults(handler=_cmd_orbits)
     p = with_component(sub.add_parser("hp", help="periodic cyclic homology dimensions"))
-    p.set_defaults(handler=_cmd_hp, default_degree=20)
+    p.set_defaults(handler=_cmd_hp)
 
     p = sub.add_parser("project", help="apply the q-projection to a stratum point")
     p.add_argument("--point", help="stratum point JSON or @file")
@@ -210,8 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", required=True)
     p.add_argument("--point", required=True,
                    help="quotient point JSON, @file, or shorthand like '{q^-1,1,q}'")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.set_defaults(handler=_cmd_fiber, default_degree=FIBER_LIMIT)
+    p.add_argument("--max-degree", type=int, default=FIBER_LIMIT)
+    p.set_defaults(handler=_cmd_fiber)
 
     p = sub.add_parser("temper", help="retract onto the tempered locus")
     p.add_argument("--input", required=True, help="parameter or stratum point JSON")
@@ -254,10 +279,8 @@ def main(argv=None) -> int:
             return 0
         _emit_error("validation", "invalid arguments")
         return 2
-    if getattr(args, "max_degree", None) is None and hasattr(args, "default_degree"):
-        args.max_degree = args.default_degree
     try:
-        if getattr(args, "max_degree", None) is not None and args.max_degree < 0:
+        if getattr(args, "max_degree", 0) < 0:
             raise ValueError("--max-degree must be nonnegative, got %d" % args.max_degree)
         code, report = args.handler(args)
         text = _dumps(report)

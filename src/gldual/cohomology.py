@@ -1,13 +1,12 @@
 """Periodised de Rham dimensions of orbits and extended quotients.
 
 A stratum is a torus (C*)^r modulo a product of symmetric groups permuting
-disjoint coordinate blocks.  Its cohomology is the invariant part of the
-exterior algebra on r generators, whose graded dimensions we obtain by the
-Molien-type average of det(I + t * P_g) over the group.  For a permutation
-with cycle type (alpha_1, alpha_2, ...) that determinant factors as
-prod(1 - (-t)^alpha), so the average runs over conjugacy classes with weights
-1/z(class) and never touches individual group elements.   All arithmetic is
-exact over the rationals; a non-integral coefficient is a hard failure.
+disjoint coordinate blocks: a product of k symmetric powers Sym^m(C*).  Each
+has the cohomology of C* (Macdonald 1962), so the stratum's Poincare
+polynomial is (1+t)^k.  The Molien-type average of det(I + t * P_g) over the
+group, kept as the independent cross-check, gives the same invariant exterior
+algebra dimensions: a cycle type (alpha_1, alpha_2, ...) contributes
+prod(1 - (-t)^alpha) with weight 1/z(class), exactly over the rationals.
 
 The even/odd totals summed over the strata of a component are its periodic
 cyclic homology dimensions; the independent check is the orbit-count formula
@@ -131,10 +130,14 @@ def invariant_exterior_dims(
     return PoincarePolynomial(tuple(coeffs))
 
 
+def _binomial(k: int) -> PoincarePolynomial:
+    return PoincarePolynomial(tuple(math.comb(k, p) for p in range(k + 1)))
+
+
 def stratum_poincare(stratum: Stratum) -> PoincarePolynomial:
-    """Cohomology dimensions of one extended-quotient stratum."""
-    blocks = stratum.residual_blocks()
-    return invariant_exterior_dims(PermutationAction(sum(blocks), blocks))
+    """Cohomology dimensions of one extended-quotient stratum: (1+t)^k for its
+    k symmetric-power factors."""
+    return _binomial(len(stratum.residual_blocks()))
 
 
 def component_hp(component: Component, max_degree: int = STRATA_LIMIT) -> tuple[int, int]:
@@ -154,8 +157,7 @@ def orbit_hp_dimension(component: Component, max_degree: int = STRATA_LIMIT) -> 
 
 def orbit_poincare(orbit: OrbitDescriptor) -> PoincarePolynomial:
     """Cohomology of the full orbit A^l x (C*)^k: binomial coefficients of (1+t)^k."""
-    k = orbit.k
-    return PoincarePolynomial(tuple(math.comb(k, p) for p in range(k + 1)))
+    return _binomial(orbit.k)
 
 
 def tempered_orbit_poincare(orbit: OrbitDescriptor) -> PoincarePolynomial:

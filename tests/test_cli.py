@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gldual.cli import main, parse_scalar
 from gldual.scalars import ONE, QScalar
@@ -172,6 +176,15 @@ def test_limit_refusal_exit_code(capsys):
     assert code == 0
 
 
+def test_hp_above_the_default_limit_needs_only_max_degree(capsys):
+    code, report, _ = run_cli(capsys, "hp", "--component", "(21)")
+    assert code == 3 and report["error"]["type"] == "limit"
+    # --max-degree is the one guard: the per-stratum cohomology has no rank limit
+    code, report, _ = run_cli(capsys, "hp", "--component", "(21)", "--max-degree", "21")
+    assert code == 0
+    assert report == {"hp0": 4952, "hp1": 4952, "orbit_dim": 4952}
+
+
 def _strict_json(text):
     def refuse(token):
         raise ValueError("non-JSON token %s" % token)
@@ -181,6 +194,14 @@ def _strict_json(text):
 
 def _phi(rho, j):
     return json.dumps({"summands": [{"rho": rho, "j": j, "twist": {"q_exp": "1", "turn": "0"}}]})
+
+
+_SYMCOORDS_BAD = {"bool-re": '[{"re": true}]', "nan-re": '[{"re": NaN}]',
+                  "infinity-im": '[{"re": 1, "im": Infinity}]', "string-re": '[{"re": "1"}]',
+                  # parsed as inf, and an integer beyond the float range (was a traceback)
+                  "float-overflow-re": '[{"re": 1e400}]',
+                  "int-overflow-re": '[{"re": 1%s}]' % ("0" * 400)}
+_SYMCOORDS_FLAGS = ("--points", "--sigma")
 
 
 @pytest.mark.parametrize("argv", [
@@ -206,9 +227,13 @@ def _phi(rho, j):
     # a negative size guard: was reported as a limit refusal
     ["strata", "--component", "(3)", "--max-degree", "-1"],
     ["fiber", "--component", "(2)", "--point", "{1,q}", "--max-degree", "-2"],
+    # symcoords input: a boolean was read as 1, NaN/Infinity tokens were accepted
+    *(["symcoords", flag, value] for flag in _SYMCOORDS_FLAGS for value in _SYMCOORDS_BAD.values()),
 ], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
         "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
-        "negative-fiber-degree"])
+        "negative-fiber-degree",
+        *("symcoords-%s-%s" % (flag[2:], name) for flag in _SYMCOORDS_FLAGS
+          for name in _SYMCOORDS_BAD)])
 def test_boundary_inputs_are_validation_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -255,3 +280,23 @@ def test_file_input(tmp_path, capsys):
     path.write_text(json.dumps({"blocks": [{"label": "a", "exponent": 2}]}))
     code, report, _ = run_cli(capsys, "hp", "--component", "@" + str(path))
     assert code == 0 and report == {"hp0": 2, "hp1": 2, "orbit_dim": 2}
+
+
+_JUNK_TOKENS = ("x", "2.5")
+_exponent_tokens = st.integers(0, 6 + len(_JUNK_TOKENS)).map(
+    lambda i: str(i) if i <= 6 else _JUNK_TOKENS[i - 7])
+
+
+@settings(max_examples=60, deadline=None)
+@given(verb=st.sampled_from(["strata", "orbits", "hp"]),
+       tokens=st.lists(_exponent_tokens, min_size=1, max_size=3),
+       max_degree=st.integers(-2, 24))
+def test_component_verbs_always_answer_in_json(verb, tokens, max_degree):
+    argv = [verb, "--component", "(%s)" % ",".join(tokens), "--max-degree", str(max_degree)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = _strict_json(out.getvalue())
+    assert code in (0, 2, 3)
+    if verb == "hp" and code == 0:
+        assert report["hp0"] == report["hp1"] == report["orbit_dim"]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 
 from gldual.bernstein import Component, enumerate_orbits, enumerate_strata, \
     orbit_stratum_bijection
+from gldual.cli import main
 from gldual.cohomology import (
     PermutationAction,
     PoincarePolynomial,
@@ -205,3 +207,54 @@ def test_binomial_identity_for_trivial_action():
     for rank in range(1, 7):
         poly = invariant_exterior_dims(PermutationAction(rank, (1,) * rank))
         assert poly.coeffs == tuple(math.comb(rank, p) for p in range(rank + 1))
+
+
+
+# --- the closed form (1+t)^k against the Molien average it replaced
+
+
+def exponent_vectors(total_max):
+    for n in range(1, total_max + 1):
+        for r in range(1, n + 1):
+            for cuts in itertools.combinations(range(1, n), r - 1):
+                bounds = (0, *cuts, n)
+                yield tuple(bounds[i + 1] - bounds[i] for i in range(r))
+
+
+def test_closed_form_matches_molien_on_every_small_stratum():
+    for exponents in [*exponent_vectors(8), *((n,) for n in range(9, 15))]:
+        for stratum in enumerate_strata(Component.from_exponents(exponents)):
+            blocks = stratum.residual_blocks()
+            molien = invariant_exterior_dims(PermutationAction(sum(blocks), blocks))
+            assert stratum_poincare(stratum) == molien, (exponents, stratum.cycle_type)
+
+
+def overpartition_counts(n_max):
+    # coefficients of prod_{n>=1} (1 + x^n) / (1 - x^n), truncated after x^n_max
+    series = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        for i in range(n_max, n - 1, -1):  # times (1 + x^n)
+            series[i] += series[i - n]
+        for i in range(n, n_max + 1):  # divided by (1 - x^n)
+            series[i] += series[i - n]
+    return series
+
+
+@pytest.mark.parametrize(
+    "exponents", [(n,) for n in range(1, 21)] + [(4, 4, 4, 4), (5, 5, 4), (6, 6)], ids=str
+)
+def test_component_hp_is_half_the_overpartition_product(exponents):
+    pbar = overpartition_counts(max(exponents))
+    h = math.prod(pbar[e] for e in exponents) // 2
+    assert component_hp(Component.from_exponents(exponents)) == (h, h)
+
+
+def test_hp_path_never_reaches_the_molien_average(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Molien average is a cross-check, not the HP path")
+
+    monkeypatch.setattr("gldual.cohomology.invariant_exterior_dims", forbidden)
+    h = overpartition_counts(12)[12] // 2
+    assert component_hp(Component.from_exponents((12,))) == (h, h)
+    assert main(["hp", "--component", "(12)"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"hp0": h, "hp1": h, "orbit_dim": h}
