@@ -24,14 +24,17 @@ from .errors import LimitExceeded, RootFindingError
 from .parameters import LParameter
 from .qproj import FIBER_LIMIT, StratumPoint, SymPoint, fiber, project
 from .retract import homotopy, homotopy_point, temper_parameter, temper_point
-from .scalars import QScalar, exact_rational
+from .scalars import QScalar, exact_int, exact_rational
 from .symfun import SymCoords, from_sym_coords, to_sym_coords
 
 
 def _load_text(value: str) -> str:
     if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError("cannot read %s: %s" % (value[1:], exc)) from exc
     return value
 
 
@@ -57,7 +60,7 @@ def parse_scalar(text: str) -> QScalar:
 def _parse_component(text: str) -> Component:
     text = _load_text(text).strip()
     if text.startswith("("):
-        exps = tuple(int(p) for p in text.strip("()").split(",") if p.strip())
+        exps = tuple(exact_int(p, "exponent") for p in text.strip("()").split(",") if p.strip())
         return Component.from_exponents(exps)
     return Component.from_json(json.loads(text))
 
@@ -68,7 +71,8 @@ def _parse_scalar_list(text: str) -> tuple[QScalar, ...]:
 
 def _parse_sym_point(text: str) -> SymPoint:
     text = _load_text(text).strip()
-    if text.startswith("{"):
+    # '{"blocks": ...}' is JSON; any other '{...}' is the scalar shorthand
+    if text.startswith("{") and not text[1:].lstrip().startswith('"'):
         return SymPoint(tuple(_parse_scalar_list(part) for part in text.split(";")))
     return SymPoint.from_json(json.loads(text))
 
@@ -127,7 +131,8 @@ def _stratum_point_from_args(args) -> StratumPoint:
     if args.component is None or args.cycle is None or args.coords is None:
         raise ValueError("need either --point or all of --component/--cycle/--coords")
     component = _parse_component(args.component)
-    parts = tuple(int(p) for p in args.cycle.strip().strip("()").split(",") if p.strip())
+    parts = tuple(exact_int(p, "cycle part")
+                  for p in args.cycle.strip().strip("()").split(",") if p.strip())
     # shorthand covers single-block components; JSON covers the general case
     if len(component.blocks) != 1:
         raise ValueError("--cycle shorthand requires a single-block component")

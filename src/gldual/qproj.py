@@ -3,22 +3,23 @@ with exact fiber enumeration.
 
 A coordinate z sitting on a cycle of length alpha projects to the q-string
 {q^((alpha-1)/2) z, ..., q^((1-alpha)/2) z}; a stratum point projects to the
-blockwise union of the strings of its coordinates.  Fibers are computed by
-exhaustively decomposing each block's multiset into q-strings of the shapes
-prescribed by each stratum's cycle type.  Candidate string centers are read
-off the query multiset itself (every string must cover some element), which
-makes the search exhaustive; all comparisons are exact QScalar equality, so
-query points must be exact (floats are rejected, never snapped).
+blockwise union of the strings of its coordinates.  A fiber point is thus a
+Zelevinsky multisegment: on each q-line (turn, q_exp mod q_scale) of a block
+its strings are integer segments covering the query's counts exactly.  One
+output-sensitive walk over the occupied positions enumerates them, and their
+cycle types sort them into strata.  All comparisons are exact QScalar
+equality, so query points must be exact (floats are rejected, never snapped).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .bernstein import Component, Stratum, enumerate_strata
+from .bernstein import Component, CycleType, Stratum
 from .errors import LimitExceeded
 from .scalars import QScalar
 
@@ -117,48 +118,41 @@ def project(point: StratumPoint) -> SymPoint:
     return SymPoint(tuple(blocks_out))
 
 
-def _string_candidates(remaining: Counter, alpha: int, scale: Fraction) -> list[QScalar]:
-    # Every string covers some element of the remainder, so shifting each
-    # element back through all alpha positions enumerates every viable center.
-    cands = set()
-    for w in remaining:
-        for i in range(alpha):
-            cands.add(w.q_shift(-scale * (Fraction(alpha - 1, 2) - i)))
-    return sorted(cands)
+def _covers(counts: list[int], joined: list[bool]) -> Iterator[list[tuple[int, int]]]:
+    """Every multiset of segments whose coverage is exactly `counts`, as lists
+    of (start, length) pairs.  A segment covers cells start .. start+length-1
+    and runs from cell i to cell i+1 only where joined[i].
 
-
-def _covers(remaining: Counter, string: tuple[QScalar, ...]) -> bool:
-    need = Counter(string)
-    return all(remaining[z] >= c for z, c in need.items())
-
-
-def _block_decompositions(
-    multiset: tuple[QScalar, ...], parts: tuple[int, ...], scale: Fraction
-) -> list[tuple[QScalar, ...]]:
-    """All decompositions of the multiset into q-strings of the given sizes.
-
-    Returns one center per part, in part order.  Centers of equal-length parts
-    are forced weakly increasing, so each decomposition appears exactly once
-    and the output is already canonical.
+    The lowest cell still to cover starts every segment through it.  It is
+    peeled by choosing how many of those segments reach each next cell: never
+    more than reached the cell before (segments from one start come in
+    non-increasing length), nor more than is left there.  Every choice leaves
+    a coverable remainder, so every branch ends in a cover.
     """
-    results: list[tuple[QScalar, ...]] = []
+    rem = list(counts)
 
-    def descend(idx: int, remaining: Counter, chosen: list[QScalar]):
-        if idx == len(parts):
-            # cardinalities match by construction, so remaining is empty here
-            results.append(tuple(chosen))
-            return
-        alpha = parts[idx]
-        floor = chosen[-1] if idx > 0 and parts[idx - 1] == alpha else None
-        for z in _string_candidates(remaining, alpha, scale):
-            if floor is not None and z < floor:
-                continue
-            string = q_string(alpha, z, scale)
-            if _covers(remaining, string):
-                descend(idx + 1, remaining - Counter(string), chosen + [z])
+    def peel(start: int, found: list):
+        while start < len(rem) and rem[start] == 0:
+            start += 1
+        if start == len(rem):
+            yield found
+        else:
+            yield from reach(start, 1, rem[start], found)
 
-    descend(0, Counter(multiset), [])
-    return results
+    def reach(start: int, length: int, width: int, found: list):
+        # `width` segments from `start` are at least `length` long
+        end = start + length - 1
+        rem[end] -= width
+        longer = min(width, rem[end + 1]) if end + 1 < len(rem) and joined[end] else 0
+        for more in range(longer, -1, -1):
+            grown = found + [(start, length)] * (width - more)
+            if more:
+                yield from reach(start, length + 1, more, grown)
+            else:
+                yield from peel(start + 1, grown)
+        rem[end] += width
+
+    return peel(0, [])
 
 
 def fiber(
@@ -184,26 +178,30 @@ def fiber(
             "component degree %d exceeds the fiber limit %d" % (component.degree, max_degree)
         )
 
-    out: list[StratumPoint] = []
-    for stratum in enumerate_strata(component, max_degree):
-        per_block = []
-        for block, parts, mset in zip(
-            component.blocks, stratum.cycle_type.parts_per_block, point.blocks
-        ):
-            decomps = _block_decompositions(mset, parts, block.q_scale)
-            if not decomps:
-                per_block = None
-                break
-            per_block.append(decomps)
-        if per_block is None:
-            continue
-        found = [
-            StratumPoint(stratum, tuple(itertools.chain.from_iterable(combo)))
-            for combo in itertools.product(*per_block)
-        ]
-        found.sort(key=lambda p: tuple((z.q_exp, z.turn) for z in p.coords))
-        out.extend(dict.fromkeys(found))
-    return out
+    # An element sits at position q_exp // q_scale of its block's q-line (turn,
+    # q_exp mod q_scale).  Only occupied cells are kept, so no q-string crosses a gap.
+    elements = sorted((i, z.turn, z.q_exp % b.q_scale, z.q_exp // b.q_scale)
+                      for i, (b, mset) in enumerate(zip(component.blocks, point.blocks))
+                      for z in mset)
+    cells = [cell for cell, _ in itertools.groupby(elements)]
+    counts = [len(list(run)) for _, run in itertools.groupby(elements)]
+    joined = [a[:3] == b[:3] and a[3] + 1 == b[3] for a, b in zip(cells, cells[1:])]
+
+    @functools.cache
+    def string(start: int, length: int) -> tuple[int, int, QScalar]:
+        i, turn, offset, position = cells[start]
+        center = offset + component.blocks[i].q_scale * (position + Fraction(length - 1, 2))
+        return i, -length, QScalar(center, turn)
+
+    found: dict[tuple[tuple[int, ...], ...], list[tuple[QScalar, ...]]] = {}
+    for cover in _covers(counts, joined):
+        strings = sorted(string(*s) for s in cover)  # blockwise in canonical order
+        cycle_type = tuple(tuple(-n for j, n, _ in strings if j == i)
+                           for i in range(len(component.blocks)))
+        found.setdefault(cycle_type, []).append(tuple(z for _, _, z in strings))
+    # cycle types in lexicographic order are the strata in enumeration order
+    strata = {ct: Stratum(component, CycleType(ct)) for ct in sorted(found)}
+    return [StratumPoint(s, coords) for ct, s in strata.items() for coords in sorted(found[ct])]
 
 
 def verify_section(point: StratumPoint, max_degree: int = FIBER_LIMIT) -> bool:

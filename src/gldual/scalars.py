@@ -34,15 +34,27 @@ def _fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _refuse_digit_variants(text: str, what: str) -> None:
+    # int() and Fraction() also read underscores between digits and the
+    # digits of other scripts: '1_0' and '\u0661\u0660' are both 10.
+    if not text.isascii() or "_" in text:
+        raise ValueError("%s must be written in ASCII digits without underscores, got %r"
+                         % (what, text))
+
+
 def exact_int(value, what: str) -> int:
-    """A parsed integer: an int or a string of digits, never a bool or a float."""
+    """A parsed integer: an int or a string of ASCII digits with an optional
+    sign, never a bool or a float."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError("%s must be an integer, got %r" % (what, value))
+    if isinstance(value, str):
+        _refuse_digit_variants(value, what)
     return int(value)
 
 
 def exact_rational(value, what: str) -> Fraction:
-    """A parsed rational: an int or a string such as '3', '-1/2' or '0.25'.
+    """A parsed rational: an int or a string such as '3', '-1/2', '0.25' or
+    '1e-3', in ASCII digits.
 
     Bools and floats are refused, as is a decimal exponent beyond
     MAX_DECIMAL_EXPONENT, before any large integer is built.
@@ -54,6 +66,7 @@ def exact_rational(value, what: str) -> Fraction:
         if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
             raise ValueError("%s has a decimal exponent beyond %d: %r"
                              % (what, MAX_DECIMAL_EXPONENT, value))
+        _refuse_digit_variants(value, what)
     return Fraction(value)
 
 

@@ -229,11 +229,25 @@ _SYMCOORDS_FLAGS = ("--points", "--sigma")
     ["fiber", "--component", "(2)", "--point", "{1,q}", "--max-degree", "-2"],
     # symcoords input: a boolean was read as 1, NaN/Infinity tokens were accepted
     *(["symcoords", flag, value] for flag in _SYMCOORDS_FLAGS for value in _SYMCOORDS_BAD.values()),
+    # an unreadable @file: was a traceback with exit 1
+    ["hp", "--component", "@/nonexistent/component.json"],
+    ["hp", "--component", "@/"],
+    # underscores and non-ASCII digits: were read as 10, 11 and 12
+    ["hp", "--component", "(1_0)"],
+    ["project", "--component", "(11)", "--cycle", "(1_1)", "--coords", "{1}"],
+    ["hp", "--component", "(\u0661\u0662)"],
+    ["hp", "--component", '{"blocks": [{"label": "a", "exponent": "1_0"}]}'],
+    ["temper", "--input", json.dumps({"summands": [
+        {"rho": {"id": "a"}, "j": "0", "twist": {"q_exp": "1_0", "turn": "0"}}]})],
+    ["fiber", "--component", "(2)", "--point", "{q^1_0,1}"],
 ], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
         "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
         "negative-fiber-degree",
         *("symcoords-%s-%s" % (flag[2:], name) for flag in _SYMCOORDS_FLAGS
-          for name in _SYMCOORDS_BAD)])
+          for name in _SYMCOORDS_BAD),
+        "missing-file", "directory-file", "underscore-exponent", "underscore-cycle-part",
+        "arabic-indic-exponent", "underscore-json-exponent", "underscore-q-exp",
+        "underscore-shorthand-q-exp"])
 def test_boundary_inputs_are_validation_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -248,6 +262,21 @@ def test_non_finite_output_is_refused_not_printed(capsys):
     code = main(["symcoords", "--points", points])
     assert code == 2
     assert _strict_json(capsys.readouterr().out)["error"]["type"] == "validation"
+
+
+def test_undecodable_file_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "component.json"
+    path.write_bytes(b"\xff\xfe(2)")
+    code, report, _ = run_cli(capsys, "hp", "--component", "@" + str(path))
+    assert code == 2 and report["error"]["type"] == "validation"
+
+
+def test_fiber_point_accepts_inline_json(capsys):
+    point = '{"blocks": [[{"q_exp": "-1", "turn": "0"}, {"q_exp": "0", "turn": "0"}, ' \
+            '{"q_exp": "1", "turn": "0"}]]}'
+    _, _, shorthand = run_cli(capsys, "fiber", "--component", "(3)", "--point", "{q^-1,1,q}")
+    code, _, inline = run_cli(capsys, "fiber", "--component", "(3)", "--point", point)
+    assert code == 0 and inline == shorthand
 
 
 def test_output_is_byte_identical_across_runs(capsys):

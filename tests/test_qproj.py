@@ -1,11 +1,17 @@
+import itertools
+import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gldual.bernstein import Block, Component, CycleType, Stratum, enumerate_strata
 from gldual.errors import LimitExceeded
+from gldual.partitions import part_multiplicities, partitions
 from gldual.qproj import StratumPoint, SymPoint, fiber, project, q_string, verify_section
 from gldual.scalars import ONE, QScalar, q_power, unit
 from gldual.verify import fiber_reference
@@ -236,3 +242,56 @@ def test_json_round_trips():
     assert SymPoint.from_json(y.to_json()) == y
     point = StratumPoint(stratum(C3, (2, 1)), (ONE, q_power(1)))
     assert StratumPoint.from_json(point.to_json()) == point
+
+
+_SCALES = (F(1, 2), F(1), F(2))
+# every composition of 1..5 into at most three blocks
+_COMPOSITIONS = [c for r in (1, 2, 3) for c in itertools.product(range(1, 6), repeat=r)
+                 if sum(c) <= 5]
+_scalars = st.builds(QScalar, st.integers(-6, 6).map(lambda k: F(k, 2)),
+                     st.sampled_from((F(0), F(1, 2), F(1, 3))))
+
+
+@st.composite
+def _fiber_queries(draw):
+    exponents = draw(st.sampled_from(_COMPOSITIONS))
+    component = Component(tuple(Block("b%d" % i, e, draw(st.sampled_from(_SCALES)))
+                                for i, e in enumerate(exponents)))
+    if draw(st.booleans()):
+        # the image of a stratum point, so that deep fibers occur
+        s = Stratum(component, CycleType(tuple(
+            draw(st.sampled_from(list(partitions(e)))) for e in exponents)))
+        coords = draw(st.lists(_scalars, min_size=s.torus_rank, max_size=s.torus_rank))
+        return component, project(StratumPoint(s, tuple(coords)))
+    return component, SymPoint(tuple(
+        tuple(draw(st.lists(_scalars, min_size=e, max_size=e))) for e in exponents))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fiber_queries())
+def test_fiber_equals_reference_across_q_lines(query):
+    # half-integer exponents at q_scale 1/2, 1 and 2 split a block into one,
+    # two or four q-lines per turn
+    component, y = query
+    assert fiber(y, component) == fiber_reference(y, component)
+
+
+def test_q_string_fiber_has_one_point_per_ordering_of_parts():
+    c = Component.from_exponents((12,))
+    points = fiber(SymPoint((q_string(12, ONE),)), c)
+    assert len(points) == 2048
+    assert list(dict.fromkeys(p.stratum for p in points)) == enumerate_strata(c, 12)
+    orderings = {
+        parts: math.factorial(len(parts))
+        // math.prod(math.factorial(m) for _, m in part_multiplicities(parts))
+        for parts in partitions(12)
+    }
+    assert Counter(p.stratum.cycle_type.parts_per_block[0] for p in points) == orderings
+
+
+def test_sparse_query_stays_sparse():
+    y = SymPoint(((q_power(-10**20), q_power(10**20)),))
+    t0 = time.perf_counter()
+    points = fiber(y, C2)
+    assert time.perf_counter() - t0 < 1.0
+    assert points == [StratumPoint(stratum(C2, (1, 1)), (q_power(-10**20), q_power(10**20)))]

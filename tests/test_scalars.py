@@ -73,6 +73,17 @@ def test_exact_parsers_refuse_bools_floats_and_huge_exponents():
             exact_rational(huge, "x")
 
 
+def test_exact_parsers_read_ascii_digits_only():
+    assert exact_int(" -12 ", "n") == -12 and exact_int("+4", "n") == 4
+    assert exact_rational(".5", "x") == F(1, 2) and exact_rational("-1.5e-1", "x") == F(-3, 20)
+    for bad in ("1_0", "\u0661\u0662", "\uff11"):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            exact_int(bad, "n")
+    for bad in ("1_0", "1/2_0", "0.1_5", "\u0661\u0662", "1/\u0662", "1e\u0661\u0660"):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            exact_rational(bad, "x")
+
+
 def test_turn_is_normalized():
     assert QScalar(F(0), F(5, 4)).turn == F(1, 4)
     assert QScalar(F(0), F(-1, 4)).turn == F(3, 4)
