@@ -6,4 +6,5 @@ class LimitExceeded(RuntimeError):
 
 
 class RootFindingError(RuntimeError):
-    """The simultaneous root-finder did not converge within its step budget."""
+    """The simultaneous root-finder did not converge within its step budget,
+    left the range of doubles, or could not certify a root by its exact residual."""

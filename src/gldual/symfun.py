@@ -3,20 +3,21 @@
 A multiset of n nonzero complex points maps to its elementary symmetric
 functions (sigma_1, ..., sigma_n); sigma_n != 0 records that the points avoid
 the origin.  The inverse direction recovers the multiset as the roots of
-x^n - sigma_1 x^(n-1) + ... + (-1)^n sigma_n by simultaneous iteration with a
-bounded step budget.  Together the two maps certify, at sample points, that
-the n-th symmetric power of the punctured plane is the product of an affine
-(n-1)-space with a punctured affine line.
+x^n - sigma_1 x^(n-1) + ... + (-1)^n sigma_n.  Together the two maps certify,
+at sample points, that the n-th symmetric power of the punctured plane is the
+product of an affine (n-1)-space with a punctured affine line.
 
-Only the root finder needs a third-party package: mpmath is imported on the
-first call to :func:`from_sym_coords`, so importing this module (and with it
-``gldual`` and its command line) loads nothing beyond the standard library.
-Recovered roots are paired with the originals by :func:`match_multisets`, a
-pure-Python Hungarian algorithm.
+The roots come from :func:`gldual.aberth.polyroots`, a pure-Python
+Aberth-Ehrlich root finder with an exact polish, imported on the first call
+to :func:`from_sym_coords`: importing this module (and with it ``gldual`` and
+its command line) compiles and loads none of it.  Recovered roots are paired
+with the originals by :func:`match_multisets`, a pure-Python Hungarian
+algorithm.  The module uses the standard library only.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,13 @@ class SymCoords:
     def __post_init__(self):
         if not self.sigma:
             raise ValueError("sigma must be nonempty")
+        for k, s in enumerate(self.sigma, 1):
+            try:
+                finite = cmath.isfinite(s)
+            except OverflowError:  # an integer beyond the range of doubles
+                finite = False
+            if not finite:
+                raise ValueError("sigma must be finite, sigma_%d is %r" % (k, s))
         if self.sigma[-1] == 0:
             raise ValueError("sigma_n must be nonzero (points must avoid the origin)")
 
@@ -40,7 +48,8 @@ def to_sym_coords(points) -> SymCoords:
     """Elementary symmetric functions of the points.
 
     The points are sorted internally before accumulation, so the output is
-    bitwise identical for every input ordering.
+    bitwise identical for every input ordering.  A sigma_k beyond the range of
+    doubles is refused, not returned as inf or as a false zero.
     """
     pts = [complex(p) for p in points]
     if not pts:
@@ -54,6 +63,12 @@ def to_sym_coords(points) -> SymCoords:
         coeffs = [coeffs[k] + (coeffs[k - 1] * p if k else 0) for k in range(len(coeffs))] + [
             coeffs[-1] * p
         ]
+    for k, s in enumerate(coeffs[1:], 1):
+        if not cmath.isfinite(s):
+            raise ValueError("sigma_%d overflows the range of doubles" % k)
+    if coeffs[-1] == 0:
+        raise ValueError("sigma_%d underflows to zero: the points avoid the origin, but their "
+                         "product is below the range of doubles" % len(pts))
     return SymCoords(tuple(coeffs[1:]))
 
 
@@ -61,20 +76,16 @@ def from_sym_coords(coords: SymCoords, max_steps: int = 100) -> tuple[complex, .
     """The multiset inverse: all roots (with multiplicity) of the monic
     polynomial with the given symmetric functions, sorted deterministically.
 
-    Raises RootFindingError if the simultaneous iteration has not converged
-    after max_steps steps.
+    Raises RootFindingError if :func:`gldual.aberth.polyroots` does: its
+    double-precision iteration has not converged after max_steps steps, has
+    overflowed or divided by zero, or left a root that fails the
+    exact-residual test.
     """
-    import mpmath  # deferred: the exact layers never pay for its import
+    from .aberth import polyroots  # deferred: only root finding compiles and loads it
 
-    n = len(coords.sigma)
-    monic = [mpmath.mpc(1)] + [
-        (-1) ** (k + 1) * mpmath.mpc(coords.sigma[k]) for k in range(n)
-    ]
-    try:
-        roots = mpmath.polyroots(monic, maxsteps=max_steps, extraprec=60)
-    except mpmath.libmp.NoConvergence as exc:
-        raise RootFindingError(str(exc)) from exc
-    out = sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
+    monic = [1 + 0j] + [-complex(x) if k % 2 == 0 else complex(x)
+                        for k, x in enumerate(coords.sigma)]
+    out = sorted(polyroots(monic, max_steps), key=lambda z: (z.real, z.imag))
     if any(r == 0 for r in out):
         raise RootFindingError("root collapsed to zero despite sigma_n != 0")
     return tuple(out)

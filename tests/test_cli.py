@@ -264,6 +264,34 @@ def test_non_finite_output_is_refused_not_printed(capsys):
     assert _strict_json(capsys.readouterr().out)["error"]["type"] == "validation"
 
 
+def test_symcoords_names_sigma_overflow_and_underflow(capsys):
+    # [1e200, 1e200] reached the report as sigma_2 = inf; [1e-200, 1e-200] was
+    # refused with "points must avoid the origin", though they do
+    for value, message in [(1e200, "sigma_2 overflows the range of doubles"),
+                           (1e-200, "sigma_2 underflows to zero: the points avoid the origin, "
+                                    "but their product is below the range of doubles")]:
+        points = json.dumps([{"re": value}, {"re": value}])
+        code, report, _ = run_cli(capsys, "symcoords", "--points", points)
+        assert code == 2
+        assert report == {"error": {"type": "validation", "message": message}}
+
+
+def test_symcoords_returns_roots_where_mpmath_gave_up(capsys):
+    # the triple root 1: mpmath.polyroots exited 2 with "Didn't converge in
+    # maxsteps=100 steps."; each root is now an exact root of multiplicity 3
+    code, report, _ = run_cli(capsys, "symcoords", "--sigma", '[{"re":3},{"re":3},{"re":1}]')
+    assert code == 0
+    assert report == {"points": [{"re": 1.0, "im": 0.0}] * 3}
+    # roots of modulus 1e-100: mpmath's absolute tolerance made them "root
+    # collapsed to zero"; they are now the doubles nearest the cube roots
+    sigma = '[{"re":1e-300},{"re":1e-300},{"re":1e-300}]'
+    code, report, _ = run_cli(capsys, "symcoords", "--sigma", sigma)
+    assert code == 0
+    assert report == {"points": [{"re": -5e-101, "im": -8.660254037844387e-101},
+                                 {"re": -5e-101, "im": 8.660254037844387e-101},
+                                 {"re": 1e-100, "im": 0.0}]}
+
+
 def test_undecodable_file_is_validation_error(tmp_path, capsys):
     path = tmp_path / "component.json"
     path.write_bytes(b"\xff\xfe(2)")

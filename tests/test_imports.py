@@ -1,4 +1,4 @@
-"""The exact layers and the command line load no numeric third-party package."""
+"""The library and every command-line verb load no numeric third-party package."""
 
 import json
 import os
@@ -23,11 +23,15 @@ sys.stderr.write(json.dumps([code, sorted(m for m in %r if m in sys.modules)]))
 """ % (NUMERIC,)
 
 
-def _loaded(*argv):
+def _run(*args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(list(argv))],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def _loaded(*argv):
+    proc = _run("-c", PROBE, json.dumps(list(argv)))
     code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
     return code, loaded
 
@@ -42,6 +46,13 @@ def test_exact_verbs_load_no_numeric_package():
     assert _loaded("symcoords", "--points", '[{"re": 2}, {"re": 3}]') == (0, [])
 
 
-def test_root_finding_loads_mpmath_only():
+def test_root_finding_loads_no_numeric_package():
     sigma = json.dumps([{"re": 5, "im": 0}, {"re": 6, "im": 0}])
-    assert _loaded("symcoords", "--sigma", sigma) == (0, ["mpmath"])
+    assert _loaded("symcoords", "--sigma", sigma) == (0, [])
+
+
+def test_import_leaves_the_root_finder_unloaded():
+    # gldual.aberth is imported on the first root-finding call, so importing
+    # the package never compiles or loads it
+    proc = _run("-c", "import sys, gldual, gldual.cli; print('gldual.aberth' in sys.modules)")
+    assert proc.stdout.split() == ["False"]

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -148,3 +149,97 @@ def test_match_multisets_refuses_non_finite_points():
         match_multisets([float("inf")], [1])
     with pytest.raises(ValueError):
         match_multisets([complex("nan")], [1])
+
+
+def test_sigma_overflow_and_underflow_are_named():
+    # was sigma = (2e200, inf), returned without an error
+    with pytest.raises(ValueError, match=r"^sigma_2 overflows the range of doubles$"):
+        to_sym_coords([1e200, 1e200])
+    # was "points must avoid the origin", though they do: their product underflows
+    with pytest.raises(ValueError, match=r"^sigma_2 underflows to zero: the points avoid the "
+                                         r"origin, but their product is below the range of "
+                                         r"doubles$"):
+        to_sym_coords([1e-200, 1e-200])
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), complex(1, float("-inf")),
+                                   10 ** 400])
+def test_non_finite_sigma_refused(value):
+    with pytest.raises(ValueError, match=r"^sigma must be finite, sigma_1 is "):
+        SymCoords((value, 1))
+
+
+def test_exact_multiple_roots_come_back_exactly():
+    # each root is a double and a root of the float polynomial of that multiplicity
+    assert from_sym_coords(SymCoords((3, 3, 1))) == (1 + 0j,) * 3
+    assert from_sym_coords(to_sym_coords([2, 2, -1])) == (-1 + 0j, 2 + 0j, 2 + 0j)
+    assert from_sym_coords(to_sym_coords([1j, 1j, 3])) == (1j, 1j, 3 + 0j)
+    assert from_sym_coords(to_sym_coords([0.5j] * 3 + [1] * 3)) == (0.5j,) * 3 + (1 + 0j,) * 3
+
+
+# --- parity with mpmath.polyroots, the root finder of earlier versions -------------------
+
+
+@pytest.fixture
+def mpmath():
+    return pytest.importorskip("mpmath")
+
+
+def _mpmath_roots(mpmath, sigma):
+    monic = [mpmath.mpc(1)] + [(-1) ** (k + 1) * mpmath.mpc(s) for k, s in enumerate(sigma)]
+    roots = mpmath.polyroots(monic, maxsteps=100, extraprec=60)
+    return tuple(sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag)))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_roots_equal_mpmath_bit_for_bit(mpmath, n):
+    rng = random.Random("parity:%d" % n)
+    separated = [random_roots(rng, n) for _ in range(4)]
+    close = random_roots(rng, n - 1)
+    for roots in separated + [close + [rng.choice(close)]]:
+        sigma = to_sym_coords(roots).sigma
+        assert from_sym_coords(SymCoords(sigma)) == _mpmath_roots(mpmath, sigma)
+
+
+def test_decimal_sigma_inputs_equal_mpmath_bit_for_bit(mpmath):
+    # `symcoords --sigma` style: 3-decimal coordinates of degree 1 to 4
+    rng = random.Random("parity:decimal")
+    for _ in range(60):
+        sigma = tuple(complex(round(rng.uniform(-3, 3), 3), round(rng.uniform(-3, 3), 3)) or 1 + 0j
+                      for _ in range(rng.randint(1, 4)))
+        assert from_sym_coords(SymCoords(sigma)) == _mpmath_roots(mpmath, sigma)
+    for sigma in [(5, 6), (0, -1), (4, 4), to_sym_coords([2, 2, -1]).sigma]:
+        assert from_sym_coords(SymCoords(sigma)) == _mpmath_roots(mpmath, sigma)
+
+
+def _assert_roots_or_refusal(coords):
+    try:
+        roots = from_sym_coords(coords)
+    except RootFindingError:
+        return
+    assert len(roots) == len(coords.sigma)
+    assert all(cmath.isfinite(r) and r != 0 for r in roots)
+
+
+unit = st.builds(cmath.rect, st.floats(0.01, 100), st.floats(0, 2 * cmath.pi))
+cluster_offset = st.sampled_from([0.0, 1e-12, 1e-8, 1e-4])
+
+
+@given(st.integers(-150, 150), st.lists(unit, min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), cluster_offset, unit), min_size=1, max_size=12))
+def test_roots_or_root_finding_error_at_every_scale(exponent, centres, draws):
+    # clusters of roots around a few centres, all scaled by 10**exponent
+    scale = 10.0 ** exponent
+    roots = [scale * centres[i % len(centres)] * (1 + offset * u) for i, offset, u in draws]
+    try:
+        coords = to_sym_coords(roots)
+    except ValueError as exc:
+        assert re.fullmatch(r"sigma_\d+ (overflows|underflows) .*", str(exc))
+        return
+    _assert_roots_or_refusal(coords)
+
+
+@given(st.lists(st.complex_numbers(min_magnitude=1e-150, max_magnitude=1e150),
+                min_size=1, max_size=12))
+def test_roots_or_root_finding_error_for_any_sigma(sigma):
+    _assert_roots_or_refusal(SymCoords(tuple(sigma)))
