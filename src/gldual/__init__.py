@@ -3,8 +3,10 @@
 Orbits of Langlands parameters and their (l, k) shapes, Bernstein components
 with their extended-quotient strata, periodic cyclic homology dimensions from
 the per-stratum cohomology (1+t)^k (with exact Molien averaging kept as the
-cross-check), the q-projection with complete fiber enumeration, and the
-tempering retraction onto the tempered dual.
+cross-check, also for the compact orbits), the q-projection with complete
+fiber enumeration, and the tempering retraction onto the tempered dual.
+Rationals are exact throughout: a float where a rational belongs raises
+TypeError rather than being snapped.
 """
 
 from .bernstein import (
@@ -15,7 +17,6 @@ from .bernstein import (
     enumerate_orbits,
     enumerate_strata,
     orbit_stratum_bijection,
-    stratum_quotient_shape,
 )
 from .cohomology import (
     PermutationAction,
@@ -42,7 +43,7 @@ from .parameters import (
     steinberg_parameter,
 )
 from .qproj import StratumPoint, SymPoint, fiber, project, q_string, verify_section
-from .retract import compact_orbit, homotopy, homotopy_point, temper_parameter, temper_point
+from .retract import homotopy, homotopy_point, temper_parameter, temper_point
 from .scalars import ONE, QScalar, q_power, unit
 from .symfun import SymCoords, from_sym_coords, match_multisets, to_sym_coords
 

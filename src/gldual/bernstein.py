@@ -10,13 +10,14 @@ over the component, via the dictionary part alpha <-> spin((alpha-1)/2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LimitExceeded
 from .parameters import InertialClass, OrbitDescriptor, WeilLabel
 from .partitions import multipartitions, part_multiplicities
-from .scalars import exact_int, exact_rational
+from .scalars import _fraction, exact_int, exact_rational
 
 __all__ = [
     "Block",
@@ -27,7 +28,6 @@ __all__ = [
     "enumerate_strata",
     "enumerate_orbits",
     "orbit_stratum_bijection",
-    "stratum_quotient_shape",
 ]
 
 # Strata/orbit/HP enumerations refuse components above this total exponent.
@@ -48,8 +48,7 @@ class Block:
             raise ValueError("block label must be nonempty")
         if self.exponent < 1:
             raise ValueError("block exponent must be >= 1")
-        if not isinstance(self.q_scale, Fraction):
-            object.__setattr__(self, "q_scale", Fraction(self.q_scale))
+        object.__setattr__(self, "q_scale", _fraction(self.q_scale))
         if self.q_scale <= 0:
             raise ValueError("q_scale must be positive")
 
@@ -104,8 +103,8 @@ class Component:
         )
 
     @classmethod
-    def from_exponents(cls, exponents: tuple[int, ...], prefix: str = "sc") -> Component:
-        return cls(tuple(Block("%s%d" % (prefix, i), e) for i, e in enumerate(exponents)))
+    def from_exponents(cls, exponents: tuple[int, ...]) -> Component:
+        return cls(tuple(Block("sc%d" % i, e) for i, e in enumerate(exponents)))
 
 
 @dataclass(frozen=True)
@@ -153,17 +152,16 @@ class Stratum:
         return sum(len(p) for p in self.cycle_type.parts_per_block)
 
     def residual_blocks(self) -> tuple[int, ...]:
-        """Multiplicity of each (block, part-size) pair, in canonical order.
+        """Multiplicity of each (block, part-size) pair in canonical order: the
+        lengths of the runs of equal parts.
 
         These are the orbit blocks of the residual centralizer action: a
         symmetric group S_m permutes the coordinates of the m cycles of equal
-        length within one block.
+        length within one block, so the stratum is a product of one Sym^m(C*)
+        per entry.
         """
-        out = []
-        for parts in self.cycle_type.parts_per_block:
-            for _, mult in part_multiplicities(parts):
-                out.append(mult)
-        return tuple(out)
+        return tuple(len(list(run)) for parts in self.cycle_type.parts_per_block
+                     for _, run in itertools.groupby(parts))
 
     def to_json(self) -> dict:
         return {
@@ -219,8 +217,3 @@ def orbit_stratum_bijection(
 ) -> list[tuple[OrbitDescriptor, Stratum]]:
     """Pair each orbit with the stratum arising from the same multipartition."""
     return [(_orbit_for(s), s) for s in enumerate_strata(component, max_degree)]
-
-
-def stratum_quotient_shape(stratum: Stratum) -> tuple[int, ...]:
-    """The stratum as a product of symmetric powers: one Sym^m factor per entry."""
-    return stratum.residual_blocks()

@@ -15,7 +15,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
 from .bernstein import (
     STRATA_LIMIT, Component, CycleType, Stratum, enumerate_orbits, enumerate_strata,
 )
@@ -36,6 +35,19 @@ def _load_text(value: str) -> str:
         except (OSError, UnicodeDecodeError) as exc:
             raise ValueError("cannot read %s: %s" % (value[1:], exc)) from exc
     return value
+
+
+def _decode_json(text: str, **kwargs):
+    """json.loads, with input nested too deeply for the decoder refused as invalid."""
+    try:
+        return json.loads(text, **kwargs)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
+def _int_tuple(text: str, what: str) -> tuple[int, ...]:
+    """The shorthand '(a,b,...)' of integers, as for components and cycle types."""
+    return tuple(exact_int(p, what) for p in text.strip().strip("()").split(",") if p.strip())
 
 
 def parse_scalar(text: str) -> QScalar:
@@ -60,9 +72,8 @@ def parse_scalar(text: str) -> QScalar:
 def _parse_component(text: str) -> Component:
     text = _load_text(text).strip()
     if text.startswith("("):
-        exps = tuple(exact_int(p, "exponent") for p in text.strip("()").split(",") if p.strip())
-        return Component.from_exponents(exps)
-    return Component.from_json(json.loads(text))
+        return Component.from_exponents(_int_tuple(text, "exponent"))
+    return Component.from_json(_decode_json(text))
 
 
 def _parse_scalar_list(text: str) -> tuple[QScalar, ...]:
@@ -74,7 +85,7 @@ def _parse_sym_point(text: str) -> SymPoint:
     # '{"blocks": ...}' is JSON; any other '{...}' is the scalar shorthand
     if text.startswith("{") and not text[1:].lstrip().startswith('"'):
         return SymPoint(tuple(_parse_scalar_list(part) for part in text.split(";")))
-    return SymPoint.from_json(json.loads(text))
+    return SymPoint.from_json(_decode_json(text))
 
 
 def _finite_float(value, name: str) -> float:
@@ -96,7 +107,7 @@ def _parse_complex_list(text: str, what: str) -> list[complex]:
         raise ValueError("non-finite token %s in %s" % (token, what))
 
     return [complex(_finite_float(d["re"], "re"), _finite_float(d.get("im", 0.0), "im"))
-            for d in json.loads(_load_text(text), parse_constant=refuse)]
+            for d in _decode_json(_load_text(text), parse_constant=refuse)]
 
 
 def _complex_json(z: complex) -> dict:
@@ -127,12 +138,11 @@ def _cmd_hp(args) -> tuple[int, dict]:
 
 def _stratum_point_from_args(args) -> StratumPoint:
     if args.point is not None:
-        return StratumPoint.from_json(json.loads(_load_text(args.point)))
+        return StratumPoint.from_json(_decode_json(_load_text(args.point)))
     if args.component is None or args.cycle is None or args.coords is None:
         raise ValueError("need either --point or all of --component/--cycle/--coords")
     component = _parse_component(args.component)
-    parts = tuple(exact_int(p, "cycle part")
-                  for p in args.cycle.strip().strip("()").split(",") if p.strip())
+    parts = _int_tuple(args.cycle, "cycle part")
     # shorthand covers single-block components; JSON covers the general case
     if len(component.blocks) != 1:
         raise ValueError("--cycle shorthand requires a single-block component")
@@ -162,7 +172,7 @@ def _cmd_fiber(args) -> tuple[int, dict]:
 
 
 def _parse_carrier(text: str):
-    data = json.loads(_load_text(text))
+    data = _decode_json(_load_text(text))
     if "summands" in data:
         return LParameter.from_json(data)
     return StratumPoint.from_json(data)
@@ -198,7 +208,9 @@ def _cmd_symcoords(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
-    results = verify_mod.run_all(
+    from . import verify  # deferred: only this verb compiles and loads the regression suite
+
+    results = verify.run_all(
         seed=args.seed, fiber_samples=args.fiber_samples, sym_samples=args.sym_samples
     )
     passed = all(r.passed for r in results)
@@ -292,8 +304,7 @@ def main(argv=None) -> int:
     except LimitExceeded as exc:
         _emit_error("limit", exc)
         return 3
-    except (ValueError, KeyError, TypeError, ZeroDivisionError,
-            json.JSONDecodeError, RootFindingError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RootFindingError) as exc:
         _emit_error("validation", exc)
         return 2
     sys.stdout.write(text)

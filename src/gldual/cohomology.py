@@ -74,18 +74,19 @@ class PoincarePolynomial:
 @dataclass(frozen=True)
 class PermutationAction:
     """Product of symmetric groups S_{m_1} x S_{m_2} x ... permuting disjoint
-    coordinate blocks of sizes m_1, m_2, ... inside rank coordinates."""
+    coordinate blocks of sizes m_1, m_2, ... of rank = sum(m_i) coordinates."""
 
-    rank: int
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
         if any(m < 1 for m in self.blocks):
             raise ValueError("block sizes must be positive")
-        if sum(self.blocks) != self.rank:
-            raise ValueError("block sizes must sum to the rank")
+        if not self.blocks:
+            raise ValueError("rank must be >= 1")
+
+    @property
+    def rank(self) -> int:
+        return sum(self.blocks)
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -102,16 +103,14 @@ def _cycle_factor(alpha: int) -> list:
     return [1] + [0] * (alpha - 1) + [1 if alpha % 2 else -1]
 
 
-def invariant_exterior_dims(
-    action: PermutationAction, max_rank: int = RANK_LIMIT
-) -> PoincarePolynomial:
+def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
     """Graded dimensions of the group-invariant exterior algebra.
 
     Averages det(I + t * P_g) over the acting group, one conjugacy class
     (= one cycle type per block) at a time with weight 1/centralizer_order.
     """
-    if action.rank > max_rank:
-        raise LimitExceeded("rank %d exceeds the limit %d" % (action.rank, max_rank))
+    if action.rank > RANK_LIMIT:
+        raise LimitExceeded("rank %d exceeds the limit %d" % (action.rank, RANK_LIMIT))
     total = [Fraction(0)] * (action.rank + 1)
     for cycle_types in itertools.product(*(tuple(partitions(m)) for m in action.blocks)):
         weight = Fraction(1)
@@ -162,6 +161,11 @@ def orbit_poincare(orbit: OrbitDescriptor) -> PoincarePolynomial:
 
 def tempered_orbit_poincare(orbit: OrbitDescriptor) -> PoincarePolynomial:
     """Cohomology of the compact orbit prod(Sym^{l_i} T), via the Molien average
-    for the multiplicity blocks (l_1, ..., l_k)."""
-    blocks = orbit.multiplicities
-    return invariant_exterior_dims(PermutationAction(sum(blocks), blocks))
+    for the multiplicity blocks (l_1, ..., l_k); every determinant must be unitary."""
+    for cls, _ in orbit.classes:
+        if not cls.rho.unitary_det:
+            raise ValueError(
+                "class %r has non-unitary determinant; the compact orbit is undefined"
+                % (cls.rho.id,)
+            )
+    return invariant_exterior_dims(PermutationAction(orbit.multiplicities))

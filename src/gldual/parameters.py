@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import ONE, QScalar, exact_int, exact_rational
+from .scalars import ONE, QScalar, _fraction, exact_int, exact_rational
 
 __all__ = [
     "WeilLabel",
@@ -66,11 +66,9 @@ class InertialClass:
     spin_j: Fraction = field(default=Fraction(0))
 
     def __post_init__(self):
-        j = self.spin_j
-        if not isinstance(j, Fraction):
-            j = Fraction(j)
-            object.__setattr__(self, "spin_j", j)
-        if j < 0 or (2 * j).denominator != 1:
+        j = _fraction(self.spin_j)
+        object.__setattr__(self, "spin_j", j)
+        if j < 0 or j.denominator > 2:
             raise ValueError("spin_j must be a nonnegative half-integer, got %s" % j)
 
     @property

@@ -73,11 +73,9 @@ class StratumPoint:
             )
         canonical = []
         i = 0
-        for parts in self.stratum.cycle_type.parts_per_block:
-            for _, group in itertools.groupby(parts):
-                run = sum(1 for _ in group)
-                canonical.extend(sorted(coords[i : i + run]))
-                i += run
+        for run in self.stratum.residual_blocks():
+            canonical.extend(sorted(coords[i : i + run]))
+            i += run
         object.__setattr__(self, "coords", tuple(canonical))
 
     def to_json(self) -> dict:
@@ -204,6 +202,6 @@ def fiber(
     return [StratumPoint(s, coords) for ct, s in strata.items() for coords in sorted(found[ct])]
 
 
-def verify_section(point: StratumPoint, max_degree: int = FIBER_LIMIT) -> bool:
+def verify_section(point: StratumPoint) -> bool:
     """Round-trip soundness: the point occurs in the fiber over its own image."""
-    return point in fiber(project(point), point.stratum.component, max_degree)
+    return point in fiber(project(point), point.stratum.component)

@@ -12,16 +12,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .parameters import LParameter, OrbitDescriptor
+from .parameters import LParameter
 from .qproj import StratumPoint
-from .scalars import QScalar
+from .scalars import QScalar, _fraction
 
 __all__ = [
     "temper_parameter",
     "homotopy",
     "temper_point",
     "homotopy_point",
-    "compact_orbit",
 ]
 
 
@@ -31,7 +30,7 @@ def temper_parameter(phi: LParameter) -> LParameter:
 
 
 def _check_t(t) -> Fraction:
-    t = t if isinstance(t, Fraction) else Fraction(t)
+    t = _fraction(t)
     if not 0 <= t <= 1:
         raise ValueError("homotopy parameter must lie in [0, 1], got %s" % t)
     return t
@@ -55,17 +54,3 @@ def homotopy_point(point: StratumPoint, t) -> StratumPoint:
     return StratumPoint(
         point.stratum, tuple(QScalar((1 - t) * z.q_exp, z.turn) for z in point.coords)
     )
-
-
-def compact_orbit(orbit: OrbitDescriptor) -> tuple[int, ...]:
-    """Multiplicities (l_1, ..., l_k) of the compact orbit prod(Sym^{l_i} T).
-
-    Defined only when every class has a unitary determinant.
-    """
-    for cls, _ in orbit.classes:
-        if not cls.rho.unitary_det:
-            raise ValueError(
-                "class %r has non-unitary determinant; the compact orbit is undefined"
-                % (cls.rho.id,)
-            )
-    return orbit.multiplicities

@@ -54,6 +54,8 @@ def to_sym_coords(points) -> SymCoords:
     pts = [complex(p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
+    if not all(cmath.isfinite(p) for p in pts):
+        raise ValueError("points must be finite")
     if any(p == 0 for p in pts):
         raise ValueError("points must be nonzero")
     pts.sort(key=lambda z: (z.real, z.imag))

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import retract
-from .bernstein import Component, CycleType, Stratum, enumerate_strata, \
-    orbit_stratum_bijection, stratum_quotient_shape
+from .bernstein import Component, CycleType, Stratum, enumerate_strata, orbit_stratum_bijection
 from .cohomology import component_hp, orbit_hp_dimension, orbit_poincare, stratum_poincare, \
     tempered_orbit_poincare
 from .parameters import LParameter, orbit_of
@@ -53,8 +52,7 @@ class CheckResult:
         return out
 
 
-def fiber_reference(point: SymPoint, component: Component,
-                    max_degree: int = FIBER_LIMIT) -> list[StratumPoint]:
+def fiber_reference(point: SymPoint, component: Component) -> list[StratumPoint]:
     """Brute-force q-projection preimage, for cross-checking.
 
     For every cycle type, candidate centers for each coordinate are read off
@@ -62,7 +60,7 @@ def fiber_reference(point: SymPoint, component: Component,
     assignment in the full cartesian product is kept iff its strings add up to
     the query multiset exactly.
     """
-    if component.degree > max_degree:
+    if component.degree > FIBER_LIMIT:
         raise ValueError("degree above reference limit")
 
     def strings(alpha, z, scale):
@@ -158,8 +156,8 @@ def check_gl3_fiber() -> CheckResult:
 def check_strata_shapes() -> CheckResult:
     """Extended quotients as products of symmetric powers, for exponents (2) and (3)."""
     t0 = time.perf_counter()
-    shapes2 = [stratum_quotient_shape(s) for s in enumerate_strata(Component.from_exponents((2,)))]
-    shapes3 = [stratum_quotient_shape(s) for s in enumerate_strata(Component.from_exponents((3,)))]
+    shapes2 = [s.residual_blocks() for s in enumerate_strata(Component.from_exponents((2,)))]
+    shapes3 = [s.residual_blocks() for s in enumerate_strata(Component.from_exponents((3,)))]
     ok = shapes2 == [(2,), (1,)]
     ok &= shapes3 == [(3,), (1, 1), (1,)]
     return _result("extended_quotient_strata", ok,

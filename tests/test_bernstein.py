@@ -10,7 +10,6 @@ from gldual.bernstein import (
     enumerate_orbits,
     enumerate_strata,
     orbit_stratum_bijection,
-    stratum_quotient_shape,
 )
 from gldual.errors import LimitExceeded
 from gldual.parameters import orbit_shape
@@ -53,13 +52,13 @@ def test_strata_for_exponents_2():
     strata = enumerate_strata(Component.from_exponents((2,)))
     assert [s.cycle_type.parts_per_block for s in strata] == [((1, 1),), ((2,),)]
     assert [s.torus_rank for s in strata] == [2, 1]
-    assert [stratum_quotient_shape(s) for s in strata] == [(2,), (1,)]
+    assert [s.residual_blocks() for s in strata] == [(2,), (1,)]
 
 
 def test_strata_for_exponents_3():
     strata = enumerate_strata(Component.from_exponents((3,)))
     assert [s.torus_rank for s in strata] == [3, 2, 1]
-    assert [stratum_quotient_shape(s) for s in strata] == [(3,), (1, 1), (1,)]
+    assert [s.residual_blocks() for s in strata] == [(3,), (1, 1), (1,)]
 
 
 def test_single_exponent_component():
@@ -112,7 +111,7 @@ def test_bijection_pairs_matching_invariants():
         assert len({s for _, s in pairs}) == len(pairs)
         for orbit, stratum in pairs:
             l, k = orbit_shape(orbit)
-            assert k == len(stratum_quotient_shape(stratum))
+            assert k == len(stratum.residual_blocks())
             assert stratum.torus_rank == sum(orbit.multiplicities) == l + k
 
 
@@ -127,7 +126,7 @@ def test_gl3_k2_orbit_pairs_with_rank2_stratum():
 def test_quotient_shape_sym2_for_two_2_cycles():
     c = Component.from_exponents((4,))
     strata = {s.cycle_type.parts_per_block: s for s in enumerate_strata(c)}
-    assert stratum_quotient_shape(strata[((2, 2),)]) == (2,)
+    assert strata[((2, 2),)].residual_blocks() == (2,)
 
 
 def test_multiblock_residual_blocks_concatenate():
@@ -157,6 +156,16 @@ def test_component_validation():
         Block("", 1)
     with pytest.raises(ValueError):
         Block("a", 1, F(-1))
+
+
+def test_block_q_scale_is_exact():
+    # a float is refused, not snapped to 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        Block("a", 2, 0.1)
+    with pytest.raises(TypeError):
+        Block("a", 2, q_scale=0.5)
+    assert Block("a", 2, 2).q_scale == F(2)
+    assert Block("a", 2, F(1, 2)).q_scale == F(1, 2)
 
 
 def test_cycle_type_validation():

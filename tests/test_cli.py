@@ -202,6 +202,11 @@ _SYMCOORDS_BAD = {"bool-re": '[{"re": true}]', "nan-re": '[{"re": NaN}]',
                   "float-overflow-re": '[{"re": 1e400}]',
                   "int-overflow-re": '[{"re": 1%s}]' % ("0" * 400)}
 _SYMCOORDS_FLAGS = ("--points", "--sigma")
+_DEEP = "[" * 100000
+_DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
+                   (["project"], "--point"), (["temper"], "--input"),
+                   (["homotopy", "--t", "1/2"], "--input"), (["symcoords"], "--points"),
+                   (["symcoords"], "--sigma"))
 
 
 @pytest.mark.parametrize("argv", [
@@ -240,6 +245,8 @@ _SYMCOORDS_FLAGS = ("--points", "--sigma")
     ["temper", "--input", json.dumps({"summands": [
         {"rho": {"id": "a"}, "j": "0", "twist": {"q_exp": "1_0", "turn": "0"}}]})],
     ["fiber", "--component", "(2)", "--point", "{q^1_0,1}"],
+    # JSON nested beyond the decoder's recursion limit: was a RecursionError traceback
+    *([*verb, flag, _DEEP] for verb, flag in _DEEP_JSON_ARGS),
 ], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
         "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
         "negative-fiber-degree",
@@ -247,7 +254,8 @@ _SYMCOORDS_FLAGS = ("--points", "--sigma")
           for name in _SYMCOORDS_BAD),
         "missing-file", "directory-file", "underscore-exponent", "underscore-cycle-part",
         "arabic-indic-exponent", "underscore-json-exponent", "underscore-q-exp",
-        "underscore-shorthand-q-exp"])
+        "underscore-shorthand-q-exp",
+        *("deep-json-%s-%s" % (verb[0], flag[2:]) for verb, flag in _DEEP_JSON_ARGS)])
 def test_boundary_inputs_are_validation_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -317,14 +325,14 @@ def test_verify_verb_exit_codes(capsys, monkeypatch):
     from gldual.verify import CheckResult
 
     monkeypatch.setattr(
-        "gldual.cli.verify_mod.run_all",
+        "gldual.verify.run_all",
         lambda **kw: [CheckResult("stub", True, "ok", 0.0)],
     )
     code, report, _ = run_cli(capsys, "verify")
     assert code == 0 and report["passed"] is True
 
     monkeypatch.setattr(
-        "gldual.cli.verify_mod.run_all",
+        "gldual.verify.run_all",
         lambda **kw: [CheckResult("stub", False, "broken", 0.0)],
     )
     code, report, _ = run_cli(capsys, "verify")

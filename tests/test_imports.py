@@ -1,4 +1,5 @@
-"""The library and every command-line verb load no numeric third-party package."""
+"""The library and every command-line verb load no numeric third-party package, and
+only `gldual verify` loads the regression suite."""
 
 import json
 import os
@@ -11,16 +12,16 @@ import gldual
 NUMERIC = ("numpy", "scipy", "mpmath")
 SRC = str(Path(gldual.__file__).resolve().parent.parent)
 
-# Runs argv through gldual.cli in-process, then reports the numeric packages
-# that ended up in sys.modules.
+# Runs argv through gldual.cli in-process, then reports which of the watched
+# modules ended up in sys.modules.
 PROBE = """
 import json, sys
 import gldual, gldual.cli
-argv = json.loads(sys.argv[1])
+argv, watched = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 code = gldual.cli.main(argv) if argv else 0
 sys.stdout.flush()
-sys.stderr.write(json.dumps([code, sorted(m for m in %r if m in sys.modules)]))
-""" % (NUMERIC,)
+sys.stderr.write(json.dumps([code, sorted(m for m in watched if m in sys.modules)]))
+"""
 
 
 def _run(*args):
@@ -30,8 +31,8 @@ def _run(*args):
                           timeout=120)
 
 
-def _loaded(*argv):
-    proc = _run("-c", PROBE, json.dumps(list(argv)))
+def _loaded(*argv, watched=NUMERIC):
+    proc = _run("-c", PROBE, json.dumps(list(argv)), json.dumps(list(watched)))
     code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
     return code, loaded
 
@@ -56,3 +57,14 @@ def test_import_leaves_the_root_finder_unloaded():
     # the package never compiles or loads it
     proc = _run("-c", "import sys, gldual, gldual.cli; print('gldual.aberth' in sys.modules)")
     assert proc.stdout.split() == ["False"]
+
+
+def test_only_the_verify_verb_loads_the_regression_suite():
+    suite = ("gldual.verify",)
+    assert _loaded(watched=suite) == (0, [])
+    assert _loaded("hp", "--component", "(3)", watched=suite) == (0, [])
+    assert _loaded("fiber", "--component", "(3)", "--point", "{q^-1,1,q}",
+                   watched=suite) == (0, [])
+    assert _loaded("symcoords", "--points", '[{"re": 2}, {"re": 3}]', watched=suite) == (0, [])
+    assert _loaded("verify", "--fiber-samples", "1", "--sym-samples", "1",
+                   watched=suite) == (0, ["gldual.verify"])

@@ -135,6 +135,13 @@ def test_spin_must_be_half_integral():
         InertialClass(TRIVIAL, F(-1, 2))
 
 
+def test_spin_is_exact():
+    with pytest.raises(TypeError):
+        InertialClass(TRIVIAL, 0.5)
+    assert InertialClass(TRIVIAL, 1).spin_j == F(1)
+    assert InertialClass(TRIVIAL, F(3, 2)).spin_j == F(3, 2)
+
+
 def test_label_validation():
     with pytest.raises(ValueError):
         WeilLabel("", 1)

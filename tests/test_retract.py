@@ -17,7 +17,6 @@ from gldual.parameters import (
 )
 from gldual.qproj import StratumPoint, SymPoint, project
 from gldual.retract import (
-    compact_orbit,
     homotopy,
     homotopy_point,
     temper_parameter,
@@ -137,21 +136,40 @@ def test_point_homotopy_endpoints():
     )
 
 
+def test_homotopy_time_is_exact():
+    phi = LParameter(((InertialClass(TRIVIAL, F(0)), q_power(1)),))
+    point = StratumPoint(Stratum(Component.from_exponents((1,)), CycleType(((1,),))),
+                         (q_power(1),))
+    # a float is refused, not snapped: 0.1 would move q^1 to q^(32425917317067571/2^55)
+    for t in (0.5, 0.1):
+        with pytest.raises(TypeError):
+            homotopy(phi, t)
+        with pytest.raises(TypeError):
+            homotopy_point(point, t)
+    assert homotopy(phi, 1) == homotopy(phi, F(1)) == temper_parameter(phi)
+    assert homotopy_point(point, F(1, 2)).coords == (q_power(F(1, 2)),)
+
+
 def test_compact_orbit():
+    # the compact orbit is prod(Sym^{l_i} T) for the multiplicities (l_1, ..., l_k)
     orbit = OrbitDescriptor(((InertialClass(TRIVIAL, F(0)), 1),))
-    assert compact_orbit(orbit) == (1,)
+    assert orbit.multiplicities == (1,)
     doubled = OrbitDescriptor(((InertialClass(TRIVIAL, F(0)), 2),))
-    assert compact_orbit(doubled) == (2,)
+    assert doubled.multiplicities == (2,)
     two = OrbitDescriptor(
         ((InertialClass(WeilLabel("a"), F(0)), 1), (InertialClass(WeilLabel("b"), F(0)), 1))
     )
-    assert compact_orbit(two) == (1, 1)
+    assert two.multiplicities == (1, 1)
+    # every determinant is unitary, so the compact orbit is defined
+    for o in (orbit, doubled, two):
+        assert tempered_orbit_poincare(o).coeffs[0] == 1
 
 
 def test_compact_orbit_rejects_non_unitary_det():
     orbit = OrbitDescriptor(((InertialClass(WeilLabel("x", 1, False), F(0)), 1),))
-    with pytest.raises(ValueError):
-        compact_orbit(orbit)
+    with pytest.raises(ValueError, match="'x' has non-unitary determinant; the compact orbit "
+                                         "is undefined"):
+        tempered_orbit_poincare(orbit)
 
 
 def test_orbit_cohomology_matches_compact_orbit_cohomology():

@@ -162,6 +162,16 @@ def test_sigma_overflow_and_underflow_are_named():
         to_sym_coords([1e-200, 1e-200])
 
 
+@pytest.mark.parametrize("point", [float("nan"), float("inf"), complex(1, float("-inf"))])
+def test_non_finite_points_refused(point):
+    # was "sigma_1 overflows the range of doubles", which blames the arithmetic
+    # for a point that was never finite; match_multisets names the point
+    with pytest.raises(ValueError, match=r"^points must be finite$"):
+        to_sym_coords([point, 1])
+    with pytest.raises(ValueError, match=r"^points must be finite$"):
+        match_multisets([point, 1], [1, 2])
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), complex(1, float("-inf")),
                                    10 ** 400])
 def test_non_finite_sigma_refused(value):
