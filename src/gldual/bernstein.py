@@ -6,6 +6,13 @@ on the exponents alone.  Its Weyl group is S_{e_1} x ... x S_{e_r}, so the
 strata of the extended quotient are indexed by multipartitions: one partition
 of e_i per block.  The same multipartitions index the parameter orbits lying
 over the component, via the dictionary part alpha <-> spin((alpha-1)/2).
+
+Orbits are assembled from the strata walk, not built one by one: each block
+gets one table from its partitions to their (inertial class, multiplicity)
+entries, sharing one class per (block, part), and an orbit concatenates its
+blocks' entries.  The walk's output is valid by construction, so strata and
+orbits are made there without re-validation; the public constructors and
+every `from_json` still check their input.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from fractions import Fraction
 
 from .errors import LimitExceeded
 from .parameters import InertialClass, OrbitDescriptor, WeilLabel
-from .partitions import multipartitions, part_multiplicities
+from .partitions import multipartitions, part_multiplicities, partitions
 from .scalars import _fraction, exact_int, exact_rational
 
 __all__ = [
@@ -180,24 +187,49 @@ class Stratum:
         )
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` with `fields` set as given, unchecked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def enumerate_strata(component: Component, max_degree: int = STRATA_LIMIT) -> list[Stratum]:
     """All strata of the extended quotient, one per multipartition, in canonical order."""
     if component.degree > max_degree:
         raise LimitExceeded(
             "component degree %d exceeds the limit %d" % (component.degree, max_degree)
         )
+    # multipartitions yields one weakly decreasing partition of e_i per block
     return [
-        Stratum(component, CycleType(mp)) for mp in multipartitions(component.exponents)
+        _trusted(Stratum, component=component,
+                 cycle_type=_trusted(CycleType, parts_per_block=mp))
+        for mp in multipartitions(component.exponents)
     ]
 
 
-def _orbit_for(stratum: Stratum) -> OrbitDescriptor:
-    classes = []
-    for block, parts in zip(stratum.component.blocks, stratum.cycle_type.parts_per_block):
+def _orbits_for(component: Component, strata: list[Stratum]) -> list[OrbitDescriptor]:
+    """The orbit of each stratum, in canonical class order.
+
+    A block's entries depend only on its own partition, so each block gets one
+    table partition -> ((class, multiplicity), ...) with parts, hence spins,
+    ascending.  Every block label is (label, 1, True) and labels are distinct,
+    so the blocks taken in label order give the order of `InertialClass.key()`.
+    """
+    tables = []
+    for i, block in sorted(enumerate(component.blocks), key=lambda ib: ib[1].label):
         rho = block.weil_label()
-        for part, mult in part_multiplicities(parts):
-            classes.append((InertialClass(rho, Fraction(part - 1, 2)), mult))
-    return OrbitDescriptor(tuple(classes))
+        classes = [InertialClass(rho, Fraction(part - 1, 2))
+                   for part in range(1, block.exponent + 1)]
+        tables.append((i, {
+            parts: tuple((classes[part - 1], mult)
+                         for part, mult in reversed(part_multiplicities(parts)))
+            for parts in partitions(block.exponent)
+        }))
+    canonical = OrbitDescriptor._canonical
+    return [canonical(sum([table[s.cycle_type.parts_per_block[i]] for i, table in tables], ()))
+            for s in strata]
 
 
 def enumerate_orbits(
@@ -209,11 +241,12 @@ def enumerate_orbits(
     (label_i, spin((alpha-1)/2)) with the part's multiplicity; the orbits are
     enumerated in the same multipartition order as the strata.
     """
-    return [_orbit_for(s) for s in enumerate_strata(component, max_degree)]
+    return _orbits_for(component, enumerate_strata(component, max_degree))
 
 
 def orbit_stratum_bijection(
     component: Component, max_degree: int = STRATA_LIMIT
 ) -> list[tuple[OrbitDescriptor, Stratum]]:
     """Pair each orbit with the stratum arising from the same multipartition."""
-    return [(_orbit_for(s), s) for s in enumerate_strata(component, max_degree)]
+    strata = enumerate_strata(component, max_degree)
+    return list(zip(_orbits_for(component, strata), strata))

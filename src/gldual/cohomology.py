@@ -15,6 +15,7 @@ sum(2^(k-1)) over the parameter orbits of the component.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -129,6 +130,8 @@ def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
     return PoincarePolynomial(tuple(coeffs))
 
 
+# one entry per torus rank k seen; PoincarePolynomial is frozen, so callers may share it
+@functools.lru_cache(maxsize=None)
 def _binomial(k: int) -> PoincarePolynomial:
     return PoincarePolynomial(tuple(math.comb(k, p) for p in range(k + 1)))
 

@@ -136,7 +136,14 @@ class LParameter:
 
 @dataclass(frozen=True)
 class OrbitDescriptor:
-    """An orbit of parameters: inertial classes with multiplicities, twists forgotten."""
+    """An orbit of parameters: inertial classes with multiplicities, twists forgotten.
+
+    The constructor, `from_json` and `orbit_of` sort the classes into canonical
+    order (by `InertialClass.key()`) and check them: at least one, positive
+    multiplicities, pairwise distinct, consistent labels.  Only the strata walk
+    of `gldual.bernstein`, whose output meets all of this by construction,
+    skips the checks through `_canonical`.
+    """
 
     classes: tuple[tuple[InertialClass, int], ...]
 
@@ -151,6 +158,13 @@ class OrbitDescriptor:
             raise ValueError("orbit classes must be pairwise distinct")
         _check_label_consistency(cls.rho for cls, _ in classes)
         object.__setattr__(self, "classes", classes)
+
+    @classmethod
+    def _canonical(cls, classes: tuple[tuple[InertialClass, int], ...]) -> OrbitDescriptor:
+        """The orbit of classes already canonical and valid, taken without sorting or checks."""
+        orbit = object.__new__(cls)
+        object.__setattr__(orbit, "classes", classes)
+        return orbit
 
     @property
     def k(self) -> int:

@@ -51,7 +51,12 @@ def to_sym_coords(points) -> SymCoords:
     bitwise identical for every input ordering.  A sigma_k beyond the range of
     doubles is refused, not returned as inf or as a false zero.
     """
-    pts = [complex(p) for p in points]
+    pts = []
+    for i, p in enumerate(points):
+        try:
+            pts.append(complex(p))
+        except OverflowError:  # an integer beyond the range of doubles
+            raise ValueError("points must be finite, point %d is %r" % (i, p)) from None
     if not pts:
         raise ValueError("need at least one point")
     if not all(cmath.isfinite(p) for p in pts):

@@ -12,8 +12,9 @@ from gldual.bernstein import (
     orbit_stratum_bijection,
 )
 from gldual.errors import LimitExceeded
-from gldual.parameters import orbit_shape
+from gldual.parameters import OrbitDescriptor, orbit_shape
 from gldual.partitions import centralizer_order, part_multiplicities, partitions
+from gldual.verify import _compositions
 
 
 def partition_count(n):
@@ -197,3 +198,43 @@ def test_stratum_json():
     data = s.to_json()
     assert data == {"cycle_type": [[2, 1]], "torus_rank": 2, "sym_factors": [1, 1]}
     assert Stratum.from_json(data, c) == s
+
+
+# Out of sorted order in str comparison ("B" < "a" < "a1" < "b", "sc10" < "sc2").
+UNSORTED_LABELS = ("b", "a", "B", "a1", "sc2", "sc10", "Z", "a0")
+Q_SCALES = (F(1), F(3, 2), F(2), F(1, 3))
+
+
+def _unsorted_component(exponents):
+    return Component(tuple(Block(UNSORTED_LABELS[i], e, Q_SCALES[i % len(Q_SCALES)])
+                           for i, e in enumerate(exponents)))
+
+
+def test_walk_builds_what_the_validating_constructors_build():
+    exponent_vectors = [*_compositions(8, None), (4, 4, 4, 4), (5, 5, 4)]
+    for exponents in exponent_vectors:
+        for c in (Component.from_exponents(exponents), _unsorted_component(exponents)):
+            strata = enumerate_strata(c)
+            for s in strata:
+                assert s == Stratum(c, CycleType(s.cycle_type.parts_per_block))
+            orbits = enumerate_orbits(c)
+            assert orbit_stratum_bijection(c) == list(zip(orbits, strata))
+            for o in orbits:
+                validated = OrbitDescriptor(o.classes)
+                assert o == validated
+                assert hash(o) == hash(validated)
+                assert o.to_json() == validated.to_json()
+                assert OrbitDescriptor(tuple(reversed(o.classes))) == o
+
+
+def test_orbit_json_still_validated():
+    orbit = enumerate_orbits(_unsorted_component((3, 2)))[0]
+    data = orbit.to_json()
+    assert OrbitDescriptor.from_json(data) == orbit
+    duplicate = dict(data, classes=[data["classes"][0], data["classes"][0]])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        OrbitDescriptor.from_json(duplicate)
+    clash = dict(data["classes"][0], j="1/2")
+    clash["rho"] = dict(clash["rho"], dim=2)
+    with pytest.raises(ValueError, match="inconsistent attributes"):
+        OrbitDescriptor.from_json(dict(data, classes=[data["classes"][0], clash]))

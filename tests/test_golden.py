@@ -1,0 +1,71 @@
+"""The enumeration verbs print exactly what they printed when the corpus was recorded.
+
+`tests/data/enumeration_golden.json` maps each argv below to the exit code and
+the SHA-256 of the stdout of `gldual.cli.main`.  Regenerate it, only for an
+intended change of output, with `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import contextlib
+import functools
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from gldual.cli import main
+from gldual.verify import _compositions
+
+GOLDEN = Path(__file__).with_name("data") / "enumeration_golden.json"
+
+# Labels out of sorted order (upper case, digits, "sc10" before "sc2") and a
+# rational q_scale, so the canonical class order differs from the block order.
+UNSORTED = json.dumps({"blocks": [
+    {"label": "sc10", "exponent": 2},
+    {"label": "b", "exponent": 1, "q_scale": "3/2"},
+    {"label": "a", "exponent": 2},
+    {"label": "sc2", "exponent": 1},
+    {"label": "B", "exponent": 2, "q_scale": "2"},
+    {"label": "a1", "exponent": 1},
+]})
+
+
+def _cases():
+    components = ["(%s)" % ",".join(map(str, e)) for e in _compositions(6, 3)]
+    components += ["(12)", "(16)", "(4,4,4,4)", "(5,5,4)", UNSORTED, "(21)"]
+    for verb in ("strata", "orbits", "hp"):
+        for component in components:
+            yield [verb, "--component", component]
+        yield [verb, "--component", "(21)", "--max-degree", "21"]
+
+
+def _record(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return {"exit": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+def _key(argv):
+    return " ".join("unsorted-json" if a == UNSORTED else a for a in argv)
+
+
+@functools.cache
+def _golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_corpus_covers_every_case():
+    assert sorted(_golden()) == sorted(_key(a) for a in _cases())
+
+
+@pytest.mark.parametrize("argv", list(_cases()), ids=_key)
+def test_enumeration_stdout_matches_golden(argv):
+    assert _record(argv) == _golden()[_key(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({_key(a): _record(a) for a in _cases()}, indent=1,
+                                 sort_keys=True) + "\n")

@@ -162,6 +162,15 @@ def test_sigma_overflow_and_underflow_are_named():
         to_sym_coords([1e-200, 1e-200])
 
 
+def test_point_beyond_doubles_is_named():
+    # was OverflowError("int too large to convert to float") from complex(p); SymCoords
+    # refuses the same integer as a sigma with a ValueError
+    with pytest.raises(ValueError, match=r"^points must be finite, point 0 is 10{400}$"):
+        to_sym_coords([10**400, 1])
+    with pytest.raises(ValueError, match=r"^points must be finite, point 1 is -10{400}$"):
+        to_sym_coords([1, -10**400])
+
+
 @pytest.mark.parametrize("point", [float("nan"), float("inf"), complex(1, float("-inf"))])
 def test_non_finite_points_refused(point):
     # was "sigma_1 overflows the range of doubles", which blames the arithmetic
