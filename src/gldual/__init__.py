@@ -2,9 +2,9 @@
 
 Orbits of Langlands parameters and their (l, k) shapes, Bernstein components
 with their extended-quotient strata, periodic cyclic homology dimensions from
-the per-stratum cohomology (1+t)^k (with exact Molien averaging kept as the
-cross-check, also for the compact orbits), the q-projection with complete
-fiber enumeration, and the tempering retraction onto the tempered dual.
+the per-stratum cohomology (1+t)^k, as for the compact orbits (exact Molien
+averaging is only the cross-check of `verify` and the tests), the q-projection
+with complete fiber enumeration, and the tempering retraction.
 Rationals are exact throughout: a float where a rational belongs raises
 TypeError rather than being snapped.
 """

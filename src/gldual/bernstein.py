@@ -10,19 +10,19 @@ over the component, via the dictionary part alpha <-> spin((alpha-1)/2).
 Orbits are assembled from the strata walk, not built one by one: each block
 gets one table from its partitions to their (inertial class, multiplicity)
 entries, sharing one class per (block, part), and an orbit concatenates its
-blocks' entries.  The walk's output is valid by construction, so strata and
-orbits are made there without re-validation; the public constructors and
-every `from_json` still check their input.
+blocks' entries; both read runs of equal parts from `part_multiplicities`.
+The walk's output is valid by construction, so it is made by the unchecked
+`parameters._trusted`; the public constructors and every `from_json` still
+check their input.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import LimitExceeded
-from .parameters import InertialClass, OrbitDescriptor, WeilLabel
+from .parameters import InertialClass, OrbitDescriptor, WeilLabel, _trusted
 from .partitions import multipartitions, part_multiplicities, partitions
 from .scalars import _fraction, exact_int, exact_rational
 
@@ -167,8 +167,8 @@ class Stratum:
         length within one block, so the stratum is a product of one Sym^m(C*)
         per entry.
         """
-        return tuple(len(list(run)) for parts in self.cycle_type.parts_per_block
-                     for _, run in itertools.groupby(parts))
+        return tuple(mult for parts in self.cycle_type.parts_per_block
+                     for _, mult in part_multiplicities(parts))
 
     def to_json(self) -> dict:
         return {
@@ -185,14 +185,6 @@ class Stratum:
                 tuple(tuple(exact_int(x, "cycle part") for x in p) for p in data["cycle_type"])
             ),
         )
-
-
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass `cls` with `fields` set as given, unchecked."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def enumerate_strata(component: Component, max_degree: int = STRATA_LIMIT) -> list[Stratum]:
@@ -227,8 +219,8 @@ def _orbits_for(component: Component, strata: list[Stratum]) -> list[OrbitDescri
                          for part, mult in reversed(part_multiplicities(parts)))
             for parts in partitions(block.exponent)
         }))
-    canonical = OrbitDescriptor._canonical
-    return [canonical(sum([table[s.cycle_type.parts_per_block[i]] for i, table in tables], ()))
+    return [_trusted(OrbitDescriptor, classes=sum(
+                [table[s.cycle_type.parts_per_block[i]] for i, table in tables], ()))
             for s in strata]
 
 

@@ -1,7 +1,8 @@
 """Batch command-line interface: JSON in, JSON on stdout, diagnostics on stderr.
 
 Exit codes: 0 success, 1 failed `verify` regressions, 2 invalid input,
-3 refused resource limit.  Components and points are passed inline as JSON
+3 refused resource limit (a size guard, or a request deeper than the
+interpreter's recursion limit).  Components and points are passed inline as JSON
 (or `@file`), with a compact shorthand for the common cases: a component
 `(2,1)` means unit blocks with those exponents, and a scalar multiset
 `{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`.
@@ -303,6 +304,11 @@ def main(argv=None) -> int:
         text = _dumps(report)
     except LimitExceeded as exc:
         _emit_error("limit", exc)
+        return 3
+    except RecursionError:
+        # e.g. the partitions of 1200, one generator frame per unit part
+        _emit_error("limit", "the request needs more recursion depth than the interpreter "
+                             "allows (%d frames)" % sys.getrecursionlimit())
         return 3
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RootFindingError) as exc:
         _emit_error("validation", exc)

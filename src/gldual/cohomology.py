@@ -2,9 +2,10 @@
 
 A stratum is a torus (C*)^r modulo a product of symmetric groups permuting
 disjoint coordinate blocks: a product of k symmetric powers Sym^m(C*).  Each
-has the cohomology of C* (Macdonald 1962), so the stratum's Poincare
-polynomial is (1+t)^k.  The Molien-type average of det(I + t * P_g) over the
-group, kept as the independent cross-check, gives the same invariant exterior
+has the cohomology of C* (Macdonald 1962), as each Sym^m of the circle in a
+compact orbit has that of the circle (Morton 1967): both are (1+t)^k.  The
+Molien-type average of det(I + t * P_g) over the group, kept only as the
+cross-check of `gldual.verify` and the tests, gives the same invariant exterior
 algebra dimensions: a cycle type (alpha_1, alpha_2, ...) contributes
 prod(1 - (-t)^alpha) with weight 1/z(class), exactly over the rationals.
 
@@ -163,12 +164,12 @@ def orbit_poincare(orbit: OrbitDescriptor) -> PoincarePolynomial:
 
 
 def tempered_orbit_poincare(orbit: OrbitDescriptor) -> PoincarePolynomial:
-    """Cohomology of the compact orbit prod(Sym^{l_i} T), via the Molien average
-    for the multiplicity blocks (l_1, ..., l_k); every determinant must be unitary."""
+    """Cohomology of the compact orbit prod(Sym^{l_i} T): (1+t)^k, as for the full
+    orbit, since each Sym^{l_i} T retracts onto T; every determinant must be unitary."""
     for cls, _ in orbit.classes:
         if not cls.rho.unitary_det:
             raise ValueError(
                 "class %r has non-unitary determinant; the compact orbit is undefined"
                 % (cls.rho.id,)
             )
-    return invariant_exterior_dims(PermutationAction(orbit.multiplicities))
+    return orbit_poincare(orbit)

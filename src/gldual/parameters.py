@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass `cls` with `fields` set as given, unchecked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class WeilLabel:
     """Opaque name for an irreducible Weil representation.
@@ -87,6 +94,8 @@ class InertialClass:
     @classmethod
     def from_json(cls, data: dict) -> InertialClass:
         rho = data["rho"]
+        if not isinstance(rho, dict):
+            raise ValueError("rho must be a JSON object, got %r" % (rho,))
         unitary_det = rho.get("unitary_det", True)
         if not isinstance(unitary_det, bool):
             raise ValueError("unitary_det must be a boolean, got %r" % (unitary_det,))
@@ -142,7 +151,7 @@ class OrbitDescriptor:
     order (by `InertialClass.key()`) and check them: at least one, positive
     multiplicities, pairwise distinct, consistent labels.  Only the strata walk
     of `gldual.bernstein`, whose output meets all of this by construction,
-    skips the checks through `_canonical`.
+    skips the checks, through `_trusted`.
     """
 
     classes: tuple[tuple[InertialClass, int], ...]
@@ -158,13 +167,6 @@ class OrbitDescriptor:
             raise ValueError("orbit classes must be pairwise distinct")
         _check_label_consistency(cls.rho for cls, _ in classes)
         object.__setattr__(self, "classes", classes)
-
-    @classmethod
-    def _canonical(cls, classes: tuple[tuple[InertialClass, int], ...]) -> OrbitDescriptor:
-        """The orbit of classes already canonical and valid, taken without sorting or checks."""
-        orbit = object.__new__(cls)
-        object.__setattr__(orbit, "classes", classes)
-        return orbit
 
     @property
     def k(self) -> int:

@@ -2,27 +2,31 @@
 
 Partitions are weakly decreasing tuples of positive integers.  The canonical
 enumeration order used everywhere in this package is plain lexicographic
-order on those tuples, e.g. for n = 3: (1,1,1) < (2,1) < (3).
+order on those tuples, e.g. for n = 3: (1,1,1) < (2,1) < (3).  Strata, orbits
+and class sizes read runs of equal parts off `part_multiplicities` alone.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterator
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+def partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the partitions of n in canonical (lexicographic) order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_part is None or max_part > n:
-        max_part = n
+    return _bounded(n, n)
+
+
+def _bounded(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
+    # the partitions of n with every part at most max_part; one frame per part
     if n == 0:
         yield ()
-        return
-    for first in range(1, max_part + 1):
-        for rest in partitions(n - first, first):
+    for first in range(1, min(max_part, n) + 1):
+        for rest in _bounded(n - first, first):
             yield (first,) + rest
 
 
@@ -31,12 +35,12 @@ def multipartitions(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
     yield from itertools.product(*(tuple(partitions(n)) for n in sizes))
 
 
+# one entry per partition seen: at most 2,713 (the sum of p(n), 1 <= n <= 20) at
+# the default strata limit; a raised --max-degree keeps more
+@functools.lru_cache(maxsize=None)
 def part_multiplicities(partition: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(part, multiplicity) pairs of a partition, parts in decreasing order."""
-    out = []
-    for part, run in itertools.groupby(partition):
-        out.append((part, sum(1 for _ in run)))
-    return tuple(out)
+    return tuple((part, sum(1 for _ in run)) for part, run in itertools.groupby(partition))
 
 
 def centralizer_order(partition: tuple[int, ...]) -> int:

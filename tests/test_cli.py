@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gldual.cli import main, parse_scalar
+from gldual.partitions import partitions
 from gldual.scalars import ONE, QScalar
 
 
@@ -203,6 +205,8 @@ _SYMCOORDS_BAD = {"bool-re": '[{"re": true}]', "nan-re": '[{"re": NaN}]',
                   "int-overflow-re": '[{"re": 1%s}]' % ("0" * 400)}
 _SYMCOORDS_FLAGS = ("--points", "--sigma")
 _DEEP = "[" * 100000
+_CARRIER_VERBS = (["temper"], ["homotopy", "--t", "1/2"])
+_RHO_BAD = {"list": [1], "string": "a"}
 _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
                    (["project"], "--point"), (["temper"], "--input"),
                    (["homotopy", "--t", "1/2"], "--input"), (["symcoords"], "--points"),
@@ -247,6 +251,8 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
     ["fiber", "--component", "(2)", "--point", "{q^1_0,1}"],
     # JSON nested beyond the decoder's recursion limit: was a RecursionError traceback
     *([*verb, flag, _DEEP] for verb, flag in _DEEP_JSON_ARGS),
+    # a rho that is not a JSON object: was an AttributeError traceback
+    *([*verb, "--input", _phi(rho, "0")] for verb in _CARRIER_VERBS for rho in _RHO_BAD.values()),
 ], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
         "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
         "negative-fiber-degree",
@@ -255,7 +261,8 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
         "missing-file", "directory-file", "underscore-exponent", "underscore-cycle-part",
         "arabic-indic-exponent", "underscore-json-exponent", "underscore-q-exp",
         "underscore-shorthand-q-exp",
-        *("deep-json-%s-%s" % (verb[0], flag[2:]) for verb, flag in _DEEP_JSON_ARGS)])
+        *("deep-json-%s-%s" % (verb[0], flag[2:]) for verb, flag in _DEEP_JSON_ARGS),
+        *("%s-rho-%s" % (verb[0], name) for verb in _CARRIER_VERBS for name in _RHO_BAD)])
 def test_boundary_inputs_are_validation_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -365,3 +372,132 @@ def test_component_verbs_always_answer_in_json(verb, tokens, max_degree):
     assert code in (0, 2, 3)
     if verb == "hp" and code == 0:
         assert report["hp0"] == report["hp1"] == report["orbit_dim"]
+
+
+@pytest.mark.parametrize("verb", ["strata", "orbits", "hp"])
+@pytest.mark.parametrize("component", ["(1200)", "(1100,100)"])
+def test_partition_walk_deeper_than_the_interpreter_is_a_limit(capsys, verb, component):
+    # the first partition of 1200 is all ones, one generator frame per part:
+    # was a RecursionError traceback with exit 1
+    start = time.perf_counter()
+    code = main([verb, "--component", component, "--max-degree", "1200"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    error = _strict_json(captured.out)["error"]
+    assert error["type"] == "limit"
+    assert "more recursion depth than the interpreter allows" in error["message"]
+    assert "Traceback" not in captured.err
+    assert elapsed < 1.0
+
+
+# Arbitrary JSON, drawn in place of any valid field below.
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text("ab1/-_", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "re", "q_exp", "blocks"]), inner, max_size=2),
+    max_leaves=5)
+
+
+def _field(valid, junk=_junk):
+    # one draw in eight is junk, so that whole inputs are often valid too
+    return st.integers(0, 7).flatmap(lambda i: junk if i == 0 else valid)
+
+
+_rational = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "1/3", 2, 0])
+_twist = st.fixed_dictionaries({"q_exp": _field(_rational), "turn": _field(_rational)})
+_rho = st.fixed_dictionaries({"id": _field(st.sampled_from(["a", "b"])),
+                              "dim": _field(st.integers(1, 2)),
+                              "unitary_det": _field(st.booleans())})
+_summand = st.fixed_dictionaries({"rho": _field(_rho),
+                                  "j": _field(st.sampled_from(["0", "1/2", "1", 0])),
+                                  "twist": _field(_twist)})
+_parameter = st.fixed_dictionaries({"summands": _field(st.lists(_summand, min_size=1,
+                                                                 max_size=3))})
+# degree <= 6 and parts <= 6: `project` has no size guard
+_exponents = st.lists(st.integers(1, 3), min_size=1, max_size=2)
+
+
+@st.composite
+def _stratum_point(draw):
+    """A stratum point, every field valid or arbitrary JSON."""
+    exponents = draw(_exponents)
+    blocks = [draw(_field(st.fixed_dictionaries({
+        "label": _field(st.just("ab"[i])), "exponent": _field(st.just(e))})))
+        for i, e in enumerate(exponents)]
+    cycle_type = [draw(_field(st.sampled_from([list(p) for p in partitions(e)])))
+                  for e in exponents]
+    rank = sum(len(p) if isinstance(p, list) else 1 for p in cycle_type)
+    return {"component": draw(_field(st.just({"blocks": blocks}))),
+            "cycle_type": draw(_field(st.just(cycle_type))),
+            "coords": draw(_field(st.lists(_field(_twist), min_size=rank, max_size=rank)))}
+
+
+_text_junk = st.text("q^e()1/-*,;{}_x", max_size=5)
+_scalar_text = _field(st.sampled_from(["1", "q", "q^-1", "q^1/2", "e(1/3)", "q^2*e(1/2)"]),
+                      _text_junk)
+
+
+def _scalars(n):
+    return st.lists(_scalar_text, min_size=n, max_size=n).map(lambda ts: "{%s}" % ",".join(ts))
+
+
+def _shorthand(values):
+    return "(%s)" % ",".join(map(str, values))
+
+
+@st.composite
+def _project_argv(draw):
+    if draw(st.booleans()):
+        return ["project", "--point", json.dumps(draw(_field(_stratum_point())))]
+    e = draw(st.integers(1, 6))
+    parts = draw(st.sampled_from(list(partitions(e))))
+    argv = ["project", "--component", draw(_field(st.just(_shorthand([e])), _text_junk)),
+            "--cycle", draw(_field(st.just(_shorthand(parts)), _text_junk)),
+            "--coords", draw(_scalars(len(parts)))]
+    q = draw(st.sampled_from([None, "9", "1.5", "1", "0.5", "inf", "nan", "x"]))
+    return argv if q is None else argv + ["--q", q]
+
+
+@st.composite
+def _fiber_argv(draw):
+    exponents = draw(_exponents)
+    point = ";".join(draw(_scalars(e)) for e in exponents)
+    return ["fiber", "--component", draw(_field(st.just(_shorthand(exponents)), _text_junk)),
+            "--point", draw(_field(st.just(point), _text_junk))]
+
+
+_carrier = _field(st.one_of(_parameter, _stratum_point())).map(json.dumps)
+_complex = st.fixed_dictionaries({"re": _field(st.floats(-4, 4)), "im": _field(st.floats(-4, 4))})
+
+
+@st.composite
+def _symcoords_argv(draw):
+    argv = ["symcoords"]
+    n = draw(st.integers(1, 6))
+    for flag in draw(st.sampled_from([["--points"], ["--sigma"], ["--points", "--sigma"], []])):
+        argv += [flag, json.dumps(draw(_field(st.lists(_complex, min_size=n, max_size=n))))]
+    if draw(st.booleans()):
+        argv += ["--n", str(draw(st.sampled_from([n, n, -1, 0, 7])))]
+    return argv
+
+
+_ARGV = st.one_of(
+    _project_argv(),
+    _fiber_argv(),
+    _carrier.map(lambda c: ["temper", "--input", c]),
+    st.tuples(_carrier, st.sampled_from(["0", "1/2", "1", "2", "-1/3", "x", "0.5"])).map(
+        lambda a: ["homotopy", "--input", a[0], "--t", a[1]]),
+    _symcoords_argv(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_ARGV)
+def test_every_verb_answers_in_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    _strict_json(out.getvalue())
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
