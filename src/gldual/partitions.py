@@ -36,7 +36,7 @@ def multipartitions(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
 
 
 # one entry per partition seen: at most 2,713 (the sum of p(n), 1 <= n <= 20) at
-# the default strata limit; a raised --max-degree keeps more
+# the default limits; a raised --max-degree, or `project` above degree 20, keeps more
 @functools.lru_cache(maxsize=None)
 def part_multiplicities(partition: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(part, multiplicity) pairs of a partition, parts in decreasing order."""
