@@ -1,8 +1,8 @@
 """Roots of a monic polynomial with complex double coefficients, in pure Python.
 
 The root finder is the Aberth-Ehrlich simultaneous iteration (Aberth 1973,
-Math. Comp. 27; Bini 1996, Numer. Algorithms 13) in two phases: complex
-doubles with a bounded step budget until every residual is under the Horner
+Math. Comp. 27; Bini 1996, Numer. Algorithms 13) in two phases: at most
+MAX_STEPS steps in complex doubles until every residual is under the Horner
 rounding bound, then polish sweeps of the same correction with p/p' evaluated
 exactly over the Gaussian integers (every double is an integer over a power of
 two).  A polished simple root is a fixed point of that correction, so it is
@@ -24,17 +24,18 @@ from .errors import RootFindingError
 
 __all__ = ["polyroots"]
 
+MAX_STEPS = 100  # Aberth steps in doubles before RootFindingError
 EPS = 2.0 ** -52  # spacing of the doubles at 1; the unit roundoff is EPS / 2
 POLISH_SWEEPS = 8  # exact polish sweeps; a simple root settles in two or three
 CLUSTER = 2.0 ** -10  # relative spread of approximants taken for one multiple root
 
 
-def polyroots(c: list[complex], max_steps: int) -> list[complex]:
+def polyroots(c: list[complex]) -> list[complex]:
     """All roots, with multiplicity, of the monic polynomial with coefficients
     c (highest degree first, c[0] == 1, c[-1] != 0, all finite).
 
     Raises RootFindingError if the double-precision iteration has not
-    converged after max_steps steps, if it overflows or divides by zero, or if
+    converged after MAX_STEPS steps, if it overflows or divides by zero, or if
     a root still moving after the polish fails the exact-residual test.  A
     real or imaginary part below EPS times the other part is rounding noise of
     the complex iteration and is returned as zero.
@@ -47,7 +48,7 @@ def polyroots(c: list[complex], max_steps: int) -> list[complex]:
         raise RootFindingError("the roots span more magnitudes than the doubles hold")
     exact = _Polynomial(c, s)
     try:
-        w = _aberth(b, max_steps)
+        w = _aberth(b)
         _polish(exact, [abs(x) for x in b], w)
         out = [complex(math.ldexp(x.real, s), math.ldexp(x.imag, s)) for x in w]
     except ArithmeticError as exc:  # an overflow or a zero divisor in double arithmetic
@@ -87,13 +88,13 @@ def _initial_guesses(b) -> list[complex]:
     return guesses
 
 
-def _aberth(b, max_steps: int) -> list[complex]:
+def _aberth(b) -> list[complex]:
     """Phase one: Aberth-Ehrlich steps in complex doubles on the monic b.  A
     root is frozen once its residual is under the rounding bound."""
     n, mags = len(b) - 1, [abs(x) for x in b]
     w = _initial_guesses(b)
     pending = list(range(n))
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         still = []
         for i in pending:
             wi = w[i]
@@ -109,7 +110,7 @@ def _aberth(b, max_steps: int) -> list[complex]:
         pending = still
         if not pending:
             return w
-    raise RootFindingError("Aberth iteration did not converge in %d steps" % max_steps)
+    raise RootFindingError("Aberth iteration did not converge in %d steps" % MAX_STEPS)
 
 
 def _polish(exact: _Polynomial, mags, w: list[complex]) -> None:

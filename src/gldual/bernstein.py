@@ -51,6 +51,8 @@ class Block:
     q_scale: Fraction = field(default=Fraction(1))
 
     def __post_init__(self):
+        if not isinstance(self.label, str):
+            raise ValueError("block label must be a string, got %r" % (self.label,))
         if not self.label:
             raise ValueError("block label must be nonempty")
         if self.exponent < 1:

@@ -114,7 +114,7 @@ def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
     if action.rank > RANK_LIMIT:
         raise LimitExceeded("rank %d exceeds the limit %d" % (action.rank, RANK_LIMIT))
     total = [Fraction(0)] * (action.rank + 1)
-    for cycle_types in itertools.product(*(tuple(partitions(m)) for m in action.blocks)):
+    for cycle_types in itertools.product(*map(partitions, action.blocks)):
         weight = Fraction(1)
         poly = [1]
         for lam in cycle_types:

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["LimitExceeded", "RootFindingError"]
+
 
 class LimitExceeded(RuntimeError):
     """An enumeration was refused because it would exceed a configured size limit."""

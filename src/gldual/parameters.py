@@ -53,6 +53,8 @@ class WeilLabel:
     unitary_det: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError("label id must be a string, got %r" % (self.id,))
         if not self.id:
             raise ValueError("label id must be nonempty")
         if self.dim < 1:

@@ -2,8 +2,9 @@
 
 Partitions are weakly decreasing tuples of positive integers.  The canonical
 enumeration order used everywhere in this package is plain lexicographic
-order on those tuples, e.g. for n = 3: (1,1,1) < (2,1) < (3).  Strata, orbits
-and class sizes read runs of equal parts off `part_multiplicities` alone.
+order on those tuples, e.g. for n = 3: (1,1,1) < (2,1) < (3).  The partitions
+of n are one memoised tuple per n, read by strata, orbits and Molien averages
+alike; runs of equal parts are read off `part_multiplicities` alone.
 """
 
 from __future__ import annotations
@@ -14,11 +15,15 @@ import math
 from typing import Iterator
 
 
-def partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the partitions of n in canonical (lexicographic) order."""
+# one entry per n seen: at most 21 (n <= 20) at the default limits, holding the
+# same 2,713 partition tuples that part_multiplicities is keyed on; a raised
+# --max-degree keeps the p(n) tuples of every n it reaches
+@functools.lru_cache(maxsize=None)
+def partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of n in canonical (lexicographic) order, built once per n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _bounded(n, n)
+    return tuple(_bounded(n, n))
 
 
 def _bounded(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
@@ -31,8 +36,9 @@ def _bounded(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 
 def multipartitions(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield one partition per entry of `sizes`, lexicographic with the first entry major."""
-    yield from itertools.product(*(tuple(partitions(n)) for n in sizes))
+    """An iterator over the tuples of one partition per entry of `sizes`,
+    lexicographic with the first entry major."""
+    return itertools.product(*map(partitions, sizes))
 
 
 # one entry per partition seen: at most 2,713 (the sum of p(n), 1 <= n <= 20) at

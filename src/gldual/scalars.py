@@ -9,7 +9,6 @@ membership decidable; a numeric q enters only in :meth:`QScalar.to_complex`.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -70,10 +69,12 @@ def exact_rational(value, what: str) -> Fraction:
     return Fraction(value)
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class QScalar:
-    """The exact point q^q_exp * e^(2*pi*i*turn), with turn reduced into [0, 1)."""
+    """The exact point q^q_exp * e^(2*pi*i*turn), with turn reduced into [0, 1).
+
+    Ordered by q_exp, then by turn.
+    """
 
     q_exp: Fraction
     turn: Fraction
@@ -117,9 +118,6 @@ class QScalar:
         if not 0 < modulus < math.inf:
             raise ValueError("q^%s is out of float range at q = %r" % (self.q_exp, q))
         return modulus * cmath.exp(2j * cmath.pi * float(self.turn))
-
-    def __lt__(self, other: QScalar) -> bool:
-        return (self.q_exp, self.turn) < (other.q_exp, other.turn)
 
     def __str__(self) -> str:
         parts = []

@@ -79,20 +79,20 @@ def to_sym_coords(points) -> SymCoords:
     return SymCoords(tuple(coeffs[1:]))
 
 
-def from_sym_coords(coords: SymCoords, max_steps: int = 100) -> tuple[complex, ...]:
+def from_sym_coords(coords: SymCoords) -> tuple[complex, ...]:
     """The multiset inverse: all roots (with multiplicity) of the monic
     polynomial with the given symmetric functions, sorted deterministically.
 
     Raises RootFindingError if :func:`gldual.aberth.polyroots` does: its
-    double-precision iteration has not converged after max_steps steps, has
-    overflowed or divided by zero, or left a root that fails the
-    exact-residual test.
+    double-precision iteration has not converged after
+    :data:`gldual.aberth.MAX_STEPS` steps, has overflowed or divided by zero,
+    or left a root that fails the exact-residual test.
     """
     from .aberth import polyroots  # deferred: only root finding compiles and loads it
 
     monic = [1 + 0j] + [-complex(x) if k % 2 == 0 else complex(x)
                         for k, x in enumerate(coords.sigma)]
-    out = sorted(polyroots(monic, max_steps), key=lambda z: (z.real, z.imag))
+    out = sorted(polyroots(monic), key=lambda z: (z.real, z.imag))
     if any(r == 0 for r in out):
         raise RootFindingError("root collapsed to zero despite sigma_n != 0")
     return tuple(out)

@@ -31,6 +31,14 @@ from .symfun import from_sym_coords, match_multisets, to_sym_coords
 
 __all__ = ["CheckResult", "fiber_reference", "run_all"]
 
+# The sweeps cover every exponent vector of total up to SWEEP_TOTAL_MAX (the HP
+# sweep only those of at most SWEEP_MAX_BLOCKS blocks); the fiber oracle draws
+# vectors of total up to FIBER_TOTAL_MAX with at most three blocks.
+SWEEP_TOTAL_MAX = 8
+SWEEP_MAX_BLOCKS = 3
+FIBER_TOTAL_MAX = 5
+ROOT_SEPARATION = 1e-3  # least distance between two roots of a round-trip sample
+
 
 @dataclass
 class CheckResult:
@@ -195,18 +203,18 @@ def _compositions(total_max: int, max_blocks: int | None):
                 yield tuple(bounds[i + 1] - bounds[i] for i in range(r))
 
 
-def check_hp_consistency_sweep(total_max: int = 8, max_blocks: int = 3) -> CheckResult:
+def check_hp_consistency_sweep() -> CheckResult:
     """hp0 = hp1 = orbit-count formula over every exponent vector with small total."""
     t0 = time.perf_counter()
     checked = 0
     ok = True
-    for exponents in _compositions(total_max, max_blocks):
+    for exponents in _compositions(SWEEP_TOTAL_MAX, SWEEP_MAX_BLOCKS):
         c = Component.from_exponents(exponents)
         hp0, hp1 = component_hp(c)
         ok &= hp0 == hp1 == orbit_hp_dimension(c)
         checked += 1
     return _result("hp_orbit_count_consistency", ok,
-                   "%d components with total exponent <= %d" % (checked, total_max),
+                   "%d components with total exponent <= %d" % (checked, SWEEP_TOTAL_MAX),
                    t0, budget=60.0)
 
 
@@ -219,13 +227,13 @@ _TWIST_POOL = (
 )
 
 
-def check_retraction_properties(total_max: int = 8) -> CheckResult:
+def check_retraction_properties() -> CheckResult:
     """Retraction laws (idempotence, homotopy endpoints, orbit preservation) and the
     orbit, compact-orbit and stratum cohomologies against the Molien average."""
     t0 = time.perf_counter()
     ok = True
     orbits_seen = 0
-    for exponents in _compositions(total_max, None):
+    for exponents in _compositions(SWEEP_TOTAL_MAX, None):
         c = Component.from_exponents(exponents)
         for orbit, stratum in orbit_stratum_bijection(c):
             orbits_seen += 1
@@ -249,7 +257,7 @@ def check_retraction_properties(total_max: int = 8) -> CheckResult:
             ok &= orbit_of(tempered) == orbit
     return _result("tempering_retraction", ok,
                    "%d orbits across all components with total exponent <= %d"
-                   % (orbits_seen, total_max), t0, budget=60.0)
+                   % (orbits_seen, SWEEP_TOTAL_MAX), t0, budget=60.0)
 
 
 _QEXP_POOL = [Fraction(k, 2) for k in range(-4, 5)]
@@ -276,13 +284,12 @@ def _random_sym_point(rng: random.Random, component: Component) -> SymPoint:
     return project(StratumPoint(stratum, coords))
 
 
-def check_fiber_oracle(samples: int = 500, seed: int = 20250810,
-                       total_max: int = 5) -> CheckResult:
+def check_fiber_oracle(samples: int = 500, seed: int = 20250810) -> CheckResult:
     """Fiber enumeration agrees with the brute-force reference on random points,
     and every returned point re-projects to the query."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    pool = list(_compositions(total_max, 3))
+    pool = list(_compositions(FIBER_TOTAL_MAX, 3))
     ok = True
     mismatches = 0
     for _ in range(samples):
@@ -300,14 +307,14 @@ def check_fiber_oracle(samples: int = 500, seed: int = 20250810,
                    t0, budget=120.0)
 
 
-def _random_roots(rng: random.Random, n: int, separation: float = 1e-3) -> list[complex]:
+def _random_roots(rng: random.Random, n: int) -> list[complex]:
     while True:
         roots = [
             10 ** rng.uniform(-2.0, 2.0) * cmath.exp(2j * cmath.pi * rng.random())
             for _ in range(n)
         ]
         if all(
-            abs(roots[i] - roots[j]) >= separation
+            abs(roots[i] - roots[j]) >= ROOT_SEPARATION
             for i in range(n)
             for j in range(i + 1, n)
         ):

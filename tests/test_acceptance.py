@@ -37,15 +37,15 @@ def test_criterion_4_hp_dimensions():
 
 
 def test_criterion_5_hp_orbit_count_consistency_sweep():
-    _report(verify.check_hp_consistency_sweep(total_max=8, max_blocks=3))
+    _report(verify.check_hp_consistency_sweep())
 
 
 def test_criterion_6_tempering_retraction():
-    _report(verify.check_retraction_properties(total_max=8))
+    _report(verify.check_retraction_properties())
 
 
 def test_criterion_7_fiber_soundness_and_completeness():
-    _report(verify.check_fiber_oracle(samples=500, seed=20250810, total_max=5))
+    _report(verify.check_fiber_oracle(samples=500, seed=20250810))
 
 
 def test_criterion_8_symmetric_coordinates_round_trip():

@@ -28,6 +28,7 @@ def partition_count(n):
 
 def test_partition_enumeration_matches_independent_counter():
     for n in range(0, 21):
+        assert isinstance(partitions(n), tuple) and partitions(n) is partitions(n)
         parts = list(partitions(n))
         assert len(parts) == partition_count(n)
         assert parts == sorted(parts)

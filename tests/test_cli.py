@@ -207,6 +207,18 @@ _SYMCOORDS_FLAGS = ("--points", "--sigma")
 _DEEP = "[" * 100000
 _CARRIER_VERBS = (["temper"], ["homotopy", "--t", "1/2"])
 _RHO_BAD = {"list": [1], "string": "a"}
+_TWIST = {"q_exp": "1", "turn": "0"}
+_NON_STRING_NAMES = {
+    "id-int": ["temper", "--input", _phi({"id": 7}, "0")],
+    "id-int-and-string": ["temper", "--input", json.dumps({"summands": [
+        {"rho": {"id": 7}, "j": "0", "twist": _TWIST},
+        {"rho": {"id": "7"}, "j": "0", "twist": _TWIST}]})],
+    "label-int-homotopy": ["homotopy", "--t", "1/2", "--input", json.dumps({
+        "component": {"blocks": [{"label": 5, "exponent": 3}]},
+        "cycle_type": [[3]], "coords": [{"q_exp": "2", "turn": "0"}]})],
+    "label-bool": ["hp", "--component", '{"blocks": [{"label": true, "exponent": 1}]}'],
+    "label-list": ["hp", "--component", '{"blocks": [{"label": ["a"], "exponent": 1}]}'],
+}
 _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
                    (["project"], "--point"), (["temper"], "--input"),
                    (["homotopy", "--t", "1/2"], "--input"), (["symcoords"], "--points"),
@@ -253,6 +265,9 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
     *([*verb, flag, _DEEP] for verb, flag in _DEEP_JSON_ARGS),
     # a rho that is not a JSON object: was an AttributeError traceback
     *([*verb, "--input", _phi(rho, "0")] for verb in _CARRIER_VERBS for rho in _RHO_BAD.values()),
+    # labels and ids that are not strings: were echoed as given, or refused by
+    # the comparison or the hash that first met them
+    *_NON_STRING_NAMES.values(),
 ], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
         "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
         "negative-fiber-degree",
@@ -262,13 +277,22 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
         "arabic-indic-exponent", "underscore-json-exponent", "underscore-q-exp",
         "underscore-shorthand-q-exp",
         *("deep-json-%s-%s" % (verb[0], flag[2:]) for verb, flag in _DEEP_JSON_ARGS),
-        *("%s-rho-%s" % (verb[0], name) for verb in _CARRIER_VERBS for name in _RHO_BAD)])
+        *("%s-rho-%s" % (verb[0], name) for verb in _CARRIER_VERBS for name in _RHO_BAD),
+        *_NON_STRING_NAMES])
 def test_boundary_inputs_are_validation_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert _strict_json(captured.out)["error"]["type"] == "validation"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(_NON_STRING_NAMES))
+def test_non_string_names_are_refused_by_field(capsys, name):
+    code, report, _ = run_cli(capsys, *_NON_STRING_NAMES[name])
+    field = "label id" if name.startswith("id-") else "block label"
+    assert code == 2
+    assert report["error"]["message"].startswith("%s must be a string, got " % field)
 
 
 def test_non_finite_output_is_refused_not_printed(capsys):

@@ -1,6 +1,8 @@
-"""The library and every command-line verb load no numeric third-party package, and
-only `gldual verify` loads the regression suite."""
+"""The package exports each module's `__all__`; the library and every command-line
+verb load no numeric third-party package, and only `gldual verify` loads the
+regression suite."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -68,3 +70,45 @@ def test_only_the_verify_verb_loads_the_regression_suite():
     assert _loaded("symcoords", "--points", '[{"re": 2}, {"re": 3}]', watched=suite) == (0, [])
     assert _loaded("verify", "--fiber-samples", "1", "--sym-samples", "1",
                    watched=suite) == (0, ["gldual.verify"])
+
+
+# home module -> the public names `gldual` re-exports from it
+SURFACE = {
+    "bernstein": ["Block", "Component", "CycleType", "Stratum", "enumerate_orbits",
+                  "enumerate_strata", "orbit_stratum_bijection", "STRATA_LIMIT"],
+    "cohomology": ["PermutationAction", "PoincarePolynomial", "component_hp",
+                   "invariant_exterior_dims", "orbit_hp_dimension", "orbit_poincare",
+                   "stratum_poincare", "tempered_orbit_poincare", "RANK_LIMIT"],
+    "errors": ["LimitExceeded", "RootFindingError"],
+    "parameters": ["InertialClass", "LParameter", "OrbitDescriptor", "WeilLabel", "dimension",
+                   "is_discrete_series", "is_supercuspidal", "is_tempered", "orbit_of",
+                   "orbit_shape", "steinberg_parameter", "TRIVIAL"],
+    "qproj": ["StratumPoint", "SymPoint", "fiber", "project", "q_string", "verify_section",
+              "FIBER_LIMIT"],
+    "retract": ["homotopy", "homotopy_point", "temper_parameter", "temper_point"],
+    "scalars": ["ONE", "QScalar", "q_power", "unit", "exact_int", "exact_rational",
+                "MAX_DECIMAL_EXPONENT"],
+    "symfun": ["SymCoords", "from_sym_coords", "match_multisets", "to_sym_coords"],
+}
+# gldual.partitions stays the module: a star import would bind its function there
+SUBMODULES = (*SURFACE, "partitions")
+DEFERRED = {"aberth", "cli", "verify"}
+
+
+def test_package_exports_each_public_name_from_its_home_module():
+    for home, names in SURFACE.items():
+        module = importlib.import_module("gldual." + home)
+        for name in names:
+            assert getattr(gldual, name) is getattr(module, name), (home, name)
+    for name in SUBMODULES:
+        assert getattr(gldual, name) is sys.modules["gldual." + name]
+    # the deferred modules become attributes once some call has loaded them
+    public = {name for name in vars(gldual) if not name.startswith("_")} - DEFERRED
+    assert public == {*SUBMODULES, *(n for names in SURFACE.values() for n in names)}
+
+
+def test_no_name_is_public_in_two_modules():
+    seen = {}
+    for home in SURFACE:
+        for name in importlib.import_module("gldual." + home).__all__:
+            assert seen.setdefault(name, home) == home, (name, seen[name], home)

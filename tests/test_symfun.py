@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gldual.aberth
 from gldual.errors import RootFindingError
 from gldual.symfun import SymCoords, from_sym_coords, match_multisets, to_sym_coords
 
@@ -84,11 +85,12 @@ def test_round_trip_with_multiple_root():
     assert err < 1e-6
 
 
-def test_non_convergence_raises():
+def test_non_convergence_raises(monkeypatch):
     # a tight cluster with a starved step budget cannot converge
+    monkeypatch.setattr(gldual.aberth, "MAX_STEPS", 1)
     coords = to_sym_coords([1, 1 + 1e-12, 1 + 2e-12, 1 - 1e-12])
     with pytest.raises(RootFindingError):
-        from_sym_coords(coords, max_steps=1)
+        from_sym_coords(coords)
 
 
 def test_match_multisets_is_optimal_not_greedy():

@@ -55,7 +55,7 @@ def test_hp_regression_detects_total_dimension_misread(monkeypatch):
     original = verify.orbit_hp_dimension
     monkeypatch.setattr(verify, "orbit_hp_dimension", lambda c, *a, **kw: 2 * original(c))
     assert not verify.check_hp_values().passed
-    assert not verify.check_hp_consistency_sweep(total_max=4).passed
+    assert not verify.check_hp_consistency_sweep().passed
 
 
 def test_check_results_report_budgets():
