@@ -18,9 +18,9 @@ check their input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .errors import LimitExceeded
 from .parameters import InertialClass, OrbitDescriptor, WeilLabel, _trusted
 from .partitions import multipartitions, part_multiplicities, partitions
@@ -41,25 +41,25 @@ __all__ = [
 STRATA_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Value):
     """One supercuspidal block: opaque label, exponent, and an optional
     rational rescaling of the q-string step (q_i = q^q_scale escape hatch)."""
 
-    label: str
-    exponent: int
-    q_scale: Fraction = field(default=Fraction(1))
+    _fields = ("label", "exponent", "q_scale")
 
-    def __post_init__(self):
-        if not isinstance(self.label, str):
-            raise ValueError("block label must be a string, got %r" % (self.label,))
-        if not self.label:
+    def __init__(self, label: str, exponent: int, q_scale: Fraction = Fraction(1)):
+        if not isinstance(label, str):
+            raise ValueError("block label must be a string, got %r" % (label,))
+        if not label:
             raise ValueError("block label must be nonempty")
-        if self.exponent < 1:
+        if exponent < 1:
             raise ValueError("block exponent must be >= 1")
-        object.__setattr__(self, "q_scale", _fraction(self.q_scale))
-        if self.q_scale <= 0:
+        q_scale = _fraction(q_scale)
+        if q_scale <= 0:
             raise ValueError("q_scale must be positive")
+        set_field(self, "label", label)
+        set_field(self, "exponent", exponent)
+        set_field(self, "q_scale", q_scale)
 
     def weil_label(self) -> WeilLabel:
         # Blocks are abstract supercuspidals; a unit-dimensional unitary
@@ -67,18 +67,18 @@ class Block:
         return WeilLabel(self.label, 1, True)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Value):
     """A Bernstein component, given by its blocks (pairwise distinct labels)."""
 
-    blocks: tuple[Block, ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: tuple[Block, ...]):
+        if not blocks:
             raise ValueError("a component needs at least one block")
-        labels = [b.label for b in self.blocks]
+        labels = [b.label for b in blocks]
         if len(set(labels)) != len(labels):
             raise ValueError("block labels must be pairwise distinct")
+        set_field(self, "blocks", blocks)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -116,22 +116,21 @@ class Component:
         return cls(tuple(Block("sc%d" % i, e) for i, e in enumerate(exponents)))
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(Value):
     """One partition per block: a conjugacy class of the component's Weyl group."""
 
-    parts_per_block: tuple[tuple[int, ...], ...]
+    _fields = ("parts_per_block",)
 
-    def __post_init__(self):
-        for parts in self.parts_per_block:
+    def __init__(self, parts_per_block: tuple[tuple[int, ...], ...]):
+        for parts in parts_per_block:
             if any(p < 1 for p in parts):
                 raise ValueError("parts must be positive")
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
                 raise ValueError("parts must be weakly decreasing")
+        set_field(self, "parts_per_block", parts_per_block)
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(Value):
     """One piece of the extended quotient: the fixed torus of a conjugacy class
     modulo the residual centralizer action.
 
@@ -141,19 +140,20 @@ class Stratum:
     coordinates of equal-length cycles blockwise.
     """
 
-    component: Component
-    cycle_type: CycleType
+    _fields = ("component", "cycle_type")
 
-    def __post_init__(self):
-        parts = self.cycle_type.parts_per_block
-        if len(parts) != len(self.component.blocks):
+    def __init__(self, component: Component, cycle_type: CycleType):
+        parts = cycle_type.parts_per_block
+        if len(parts) != len(component.blocks):
             raise ValueError("cycle type must have one partition per block")
-        for block, p in zip(self.component.blocks, parts):
+        for block, p in zip(component.blocks, parts):
             if sum(p) != block.exponent:
                 raise ValueError(
                     "partition %s does not sum to exponent %d of block %r"
                     % (p, block.exponent, block.label)
                 )
+        set_field(self, "component", component)
+        set_field(self, "cycle_type", cycle_type)
 
     @property
     def torus_rank(self) -> int:

@@ -6,6 +6,11 @@ interpreter's recursion limit).  Components and points are passed inline as JSON
 (or `@file`), with a compact shorthand for the common cases: a component
 `(2,1)` means unit blocks with those exponents, and a scalar multiset
 `{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`.
+
+Each verb imports the modules it runs inside its handler and parse helpers,
+so a process pays for its own verb only: `symcoords`, for one, loads neither
+the exact layers nor `fractions`.  A `--max-degree` left out is not passed
+on, and the library's own default limit applies.
 """
 
 from __future__ import annotations
@@ -14,18 +19,8 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
-from .bernstein import (
-    STRATA_LIMIT, Component, CycleType, Stratum, enumerate_orbits, enumerate_strata,
-)
-from .cohomology import component_hp, orbit_hp_dimension
 from .errors import LimitExceeded, RootFindingError
-from .parameters import LParameter
-from .qproj import FIBER_LIMIT, StratumPoint, SymPoint, fiber, project
-from .retract import homotopy, homotopy_point, temper_parameter, temper_point
-from .scalars import QScalar, exact_int, exact_rational
-from .symfun import SymCoords, from_sym_coords, to_sym_coords
 
 
 def _load_text(value: str) -> str:
@@ -48,13 +43,17 @@ def _decode_json(text: str, **kwargs):
 
 def _int_tuple(text: str, what: str) -> tuple[int, ...]:
     """The shorthand '(a,b,...)' of integers, as for components and cycle types."""
+    from .scalars import exact_int
+
     return tuple(exact_int(p, what) for p in text.strip().strip("()").split(",") if p.strip())
 
 
-def parse_scalar(text: str) -> QScalar:
-    """Compact scalar syntax: products of `1`, `q`, `q^a` and `e(u)` with rational a, u."""
-    q_exp = Fraction(0)
-    turn = Fraction(0)
+def parse_scalar(text: str):
+    """Compact scalar syntax: products of `1`, `q`, `q^a` and `e(u)` with rational a, u,
+    as a `QScalar`."""
+    from .scalars import QScalar, exact_rational
+
+    q_exp = turn = 0  # QScalar makes both Fractions
     for factor in text.strip().split("*"):
         factor = factor.strip()
         if factor == "1":
@@ -70,18 +69,22 @@ def parse_scalar(text: str) -> QScalar:
     return QScalar(q_exp, turn)
 
 
-def _parse_component(text: str) -> Component:
+def _parse_component(text: str):
+    from .bernstein import Component
+
     text = _load_text(text).strip()
     if text.startswith("("):
         return Component.from_exponents(_int_tuple(text, "exponent"))
     return Component.from_json(_decode_json(text))
 
 
-def _parse_scalar_list(text: str) -> tuple[QScalar, ...]:
+def _parse_scalar_list(text: str) -> tuple:
     return tuple(parse_scalar(tok) for tok in text.strip().strip("{}").split(",") if tok.strip())
 
 
-def _parse_sym_point(text: str) -> SymPoint:
+def _parse_sym_point(text: str):
+    from .qproj import SymPoint
+
     text = _load_text(text).strip()
     # '{"blocks": ...}' is JSON; any other '{...}' is the scalar shorthand
     if text.startswith("{") and not text[1:].lstrip().startswith('"'):
@@ -115,29 +118,43 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _numeric_blocks(point: SymPoint, q: float) -> list:
+def _numeric_blocks(point, q: float) -> list:
     return [[_complex_json(z.to_complex(q)) for z in block] for block in point.blocks]
 
 
+def _limit(args) -> dict:
+    """`--max-degree` as the library keyword, or nothing when it was left out."""
+    return {} if args.max_degree is None else {"max_degree": args.max_degree}
+
+
 def _cmd_strata(args) -> tuple[int, dict]:
+    from .bernstein import enumerate_strata
+
     component = _parse_component(args.component)
-    strata = enumerate_strata(component, args.max_degree)
+    strata = enumerate_strata(component, **_limit(args))
     return 0, {"component": component.to_json(), "strata": [s.to_json() for s in strata]}
 
 
 def _cmd_orbits(args) -> tuple[int, dict]:
+    from .bernstein import enumerate_orbits
+
     component = _parse_component(args.component)
-    orbits = enumerate_orbits(component, args.max_degree)
+    orbits = enumerate_orbits(component, **_limit(args))
     return 0, {"component": component.to_json(), "orbits": [o.to_json() for o in orbits]}
 
 
 def _cmd_hp(args) -> tuple[int, dict]:
+    from .cohomology import component_hp, orbit_hp_dimension
+
     component = _parse_component(args.component)
-    hp0, hp1 = component_hp(component, args.max_degree)
-    return 0, {"hp0": hp0, "hp1": hp1, "orbit_dim": orbit_hp_dimension(component, args.max_degree)}
+    hp0, hp1 = component_hp(component, **_limit(args))
+    return 0, {"hp0": hp0, "hp1": hp1, "orbit_dim": orbit_hp_dimension(component, **_limit(args))}
 
 
-def _stratum_point_from_args(args) -> StratumPoint:
+def _stratum_point_from_args(args):
+    from .bernstein import CycleType, Stratum
+    from .qproj import StratumPoint
+
     if args.point is not None:
         return StratumPoint.from_json(_decode_json(_load_text(args.point)))
     if args.component is None or args.cycle is None or args.coords is None:
@@ -152,8 +169,10 @@ def _stratum_point_from_args(args) -> StratumPoint:
 
 
 def _cmd_project(args) -> tuple[int, dict]:
+    from .qproj import project
+
     point = _stratum_point_from_args(args)
-    image = project(point)
+    image = project(point, **_limit(args))
     report = {"point": point.to_json(), "image": image.to_json()}
     if args.q is not None:
         report["numeric"] = _numeric_blocks(image, args.q)
@@ -161,9 +180,11 @@ def _cmd_project(args) -> tuple[int, dict]:
 
 
 def _cmd_fiber(args) -> tuple[int, dict]:
+    from .qproj import fiber
+
     component = _parse_component(args.component)
     point = _parse_sym_point(args.point)
-    points = fiber(point, component, args.max_degree)
+    points = fiber(point, component, **_limit(args))
     return 0, {
         "component": component.to_json(),
         "point": point.to_json(),
@@ -173,6 +194,9 @@ def _cmd_fiber(args) -> tuple[int, dict]:
 
 
 def _parse_carrier(text: str):
+    from .parameters import LParameter
+    from .qproj import StratumPoint
+
     data = _decode_json(_load_text(text))
     if "summands" in data:
         return LParameter.from_json(data)
@@ -180,12 +204,19 @@ def _parse_carrier(text: str):
 
 
 def _cmd_temper(args) -> tuple[int, dict]:
+    from .parameters import LParameter
+    from .retract import temper_parameter, temper_point
+
     obj = _parse_carrier(args.input)
     result = temper_parameter(obj) if isinstance(obj, LParameter) else temper_point(obj)
     return 0, {"result": result.to_json()}
 
 
 def _cmd_homotopy(args) -> tuple[int, dict]:
+    from .parameters import LParameter
+    from .retract import homotopy, homotopy_point
+    from .scalars import exact_rational
+
     obj = _parse_carrier(args.input)
     t = exact_rational(args.t, "t")
     result = homotopy(obj, t) if isinstance(obj, LParameter) else homotopy_point(obj, t)
@@ -193,6 +224,8 @@ def _cmd_homotopy(args) -> tuple[int, dict]:
 
 
 def _cmd_symcoords(args) -> tuple[int, dict]:
+    from .symfun import SymCoords, from_sym_coords, to_sym_coords
+
     if (args.points is None) == (args.sigma is None):
         raise ValueError("need exactly one of --points or --sigma")
     if args.points is not None:
@@ -204,7 +237,7 @@ def _cmd_symcoords(args) -> tuple[int, dict]:
     sigma = _parse_complex_list(args.sigma, "--sigma")
     if args.n is not None and len(sigma) != args.n:
         raise ValueError("expected %d coordinates, got %d" % (args.n, len(sigma)))
-    roots = from_sym_coords(SymCoords(tuple(sigma)))
+    roots = from_sym_coords(SymCoords(tuple(sigma)), **_limit(args))
     return 0, {"points": [_complex_json(r) for r in roots]}
 
 
@@ -228,11 +261,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def with_limit(p, what):
+        # default None: the handler then leaves the library's own limit in force
+        p.add_argument("--max-degree", type=int, help=what)
+        return p
+
     def with_component(p):
         p.add_argument("--component", required=True,
                        help="component JSON, @file, or exponent shorthand like '(2,1)'")
-        p.add_argument("--max-degree", type=int, default=STRATA_LIMIT)
-        return p
+        return with_limit(p, "refuse a component of higher degree (default: STRATA_LIMIT)")
 
     p = with_component(sub.add_parser("strata", help="extended-quotient strata"))
     p.set_defaults(handler=_cmd_strata)
@@ -247,13 +284,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle", help="cycle type shorthand, e.g. '(2,1)'")
     p.add_argument("--coords", help="coordinates shorthand, e.g. '{q,1}'")
     p.add_argument("--q", type=float, help="also evaluate the image at this numeric q")
+    with_limit(p, "refuse a component of higher degree (default: STRATA_LIMIT)")
     p.set_defaults(handler=_cmd_project)
 
     p = sub.add_parser("fiber", help="enumerate a q-projection fiber")
     p.add_argument("--component", required=True)
     p.add_argument("--point", required=True,
                    help="quotient point JSON, @file, or shorthand like '{q^-1,1,q}'")
-    p.add_argument("--max-degree", type=int, default=FIBER_LIMIT)
+    with_limit(p, "refuse a component of higher degree (default: FIBER_LIMIT)")
     p.set_defaults(handler=_cmd_fiber)
 
     p = sub.add_parser("temper", help="retract onto the tempered locus")
@@ -269,6 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="JSON list of {re, im} points")
     p.add_argument("--sigma", help="JSON list of {re, im} coordinates")
     p.add_argument("--n", type=int, help="expected size, validated when given")
+    with_limit(p, "refuse a --sigma of higher degree (default: ROOTS_LIMIT)")
     p.set_defaults(handler=_cmd_symcoords)
 
     p = sub.add_parser("verify", help="run the regression suite")
@@ -298,7 +337,7 @@ def main(argv=None) -> int:
         _emit_error("validation", "invalid arguments")
         return 2
     try:
-        if getattr(args, "max_degree", 0) < 0:
+        if (getattr(args, "max_degree", None) or 0) < 0:
             raise ValueError("--max-degree must be nonnegative, got %d" % args.max_degree)
         code, report = args.handler(args)
         text = _dumps(report)

@@ -19,9 +19,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .bernstein import STRATA_LIMIT, Component, Stratum, enumerate_orbits, enumerate_strata
 from .errors import LimitExceeded
 from .parameters import OrbitDescriptor
@@ -42,21 +42,20 @@ __all__ = [
 RANK_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class PoincarePolynomial:
+class PoincarePolynomial(Value):
     """Graded dimension vector: coeffs[p] = dim H^p, trailing zeros trimmed."""
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]):
+        coeffs = tuple(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         if not coeffs:
             raise ValueError("the zero polynomial is not a valid Poincare polynomial")
         if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
-        object.__setattr__(self, "coeffs", coeffs)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def even_total(self) -> int:
@@ -73,18 +72,18 @@ class PoincarePolynomial:
         return {"coeffs": list(self.coeffs)}
 
 
-@dataclass(frozen=True)
-class PermutationAction:
+class PermutationAction(Value):
     """Product of symmetric groups S_{m_1} x S_{m_2} x ... permuting disjoint
     coordinate blocks of sizes m_1, m_2, ... of rank = sum(m_i) coordinates."""
 
-    blocks: tuple[int, ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        if any(m < 1 for m in self.blocks):
+    def __init__(self, blocks: tuple[int, ...]):
+        if any(m < 1 for m in blocks):
             raise ValueError("block sizes must be positive")
-        if not self.blocks:
+        if not blocks:
             raise ValueError("rank must be >= 1")
+        set_field(self, "blocks", blocks)
 
     @property
     def rank(self) -> int:
@@ -131,7 +130,7 @@ def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
     return PoincarePolynomial(tuple(coeffs))
 
 
-# one entry per torus rank k seen; PoincarePolynomial is frozen, so callers may share it
+# one entry per torus rank k seen; PoincarePolynomial is immutable, so callers may share it
 @functools.lru_cache(maxsize=None)
 def _binomial(k: int) -> PoincarePolynomial:
     return PoincarePolynomial(tuple(math.comb(k, p) for p in range(k + 1)))

@@ -12,9 +12,9 @@ descriptor, whose invariants (l, k) fix the shape A^l x (C*)^k of the orbit.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .scalars import ONE, QScalar, _fraction, exact_int, exact_rational
 
 __all__ = [
@@ -34,31 +34,31 @@ __all__ = [
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass `cls` with `fields` set as given, unchecked."""
+    """An instance of the value class `cls` with `fields` set as given, unchecked."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
-@dataclass(frozen=True)
-class WeilLabel:
+class WeilLabel(Value):
     """Opaque name for an irreducible Weil representation.
 
     Distinct ids are deemed inertially inequivalent; equal ids must carry
     equal (dim, unitary_det), which sum- and orbit-constructors enforce.
     """
 
-    id: str
-    dim: int = 1
-    unitary_det: bool = True
+    _fields = ("id", "dim", "unitary_det")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str):
-            raise ValueError("label id must be a string, got %r" % (self.id,))
-        if not self.id:
+    def __init__(self, id: str, dim: int = 1, unitary_det: bool = True):
+        if not isinstance(id, str):
+            raise ValueError("label id must be a string, got %r" % (id,))
+        if not id:
             raise ValueError("label id must be nonempty")
-        if self.dim < 1:
+        if dim < 1:
             raise ValueError("label dimension must be >= 1")
+        set_field(self, "id", id)
+        set_field(self, "dim", dim)
+        set_field(self, "unitary_det", unitary_det)
 
     def key(self):
         return (self.id, self.dim, self.unitary_det)
@@ -67,18 +67,17 @@ class WeilLabel:
 TRIVIAL = WeilLabel("triv", 1, True)
 
 
-@dataclass(frozen=True)
-class InertialClass:
+class InertialClass(Value):
     """rho tensor spin(j): an irreducible parameter up to unramified twist."""
 
-    rho: WeilLabel
-    spin_j: Fraction = field(default=Fraction(0))
+    _fields = ("rho", "spin_j")
 
-    def __post_init__(self):
-        j = _fraction(self.spin_j)
-        object.__setattr__(self, "spin_j", j)
+    def __init__(self, rho: WeilLabel, spin_j: Fraction = Fraction(0)):
+        j = _fraction(spin_j)
         if j < 0 or j.denominator > 2:
             raise ValueError("spin_j must be a nonnegative half-integer, got %s" % j)
+        set_field(self, "rho", rho)
+        set_field(self, "spin_j", j)
 
     @property
     def dimension(self) -> int:
@@ -115,18 +114,17 @@ def _check_label_consistency(labels):
             raise ValueError("label %r used with inconsistent attributes" % rho.id)
 
 
-@dataclass(frozen=True)
-class LParameter:
+class LParameter(Value):
     """A twisted sum of inertial classes, kept in canonical (sorted) form."""
 
-    summands: tuple[tuple[InertialClass, QScalar], ...]
+    _fields = ("summands",)
 
-    def __post_init__(self):
-        summands = tuple(sorted(self.summands, key=lambda s: (s[0].key(), s[1].q_exp, s[1].turn)))
+    def __init__(self, summands: tuple[tuple[InertialClass, QScalar], ...]):
+        summands = tuple(sorted(summands, key=lambda s: (s[0].key(), s[1].q_exp, s[1].turn)))
         if not summands:
             raise ValueError("a parameter needs at least one summand")
         _check_label_consistency(cls.rho for cls, _ in summands)
-        object.__setattr__(self, "summands", summands)
+        set_field(self, "summands", summands)
 
     def to_json(self) -> dict:
         return {
@@ -145,8 +143,7 @@ class LParameter:
         )
 
 
-@dataclass(frozen=True)
-class OrbitDescriptor:
+class OrbitDescriptor(Value):
     """An orbit of parameters: inertial classes with multiplicities, twists forgotten.
 
     The constructor, `from_json` and `orbit_of` sort the classes into canonical
@@ -156,10 +153,10 @@ class OrbitDescriptor:
     skips the checks, through `_trusted`.
     """
 
-    classes: tuple[tuple[InertialClass, int], ...]
+    _fields = ("classes",)
 
-    def __post_init__(self):
-        classes = tuple(sorted(self.classes, key=lambda c: c[0].key()))
+    def __init__(self, classes: tuple[tuple[InertialClass, int], ...]):
+        classes = tuple(sorted(classes, key=lambda c: c[0].key()))
         if not classes:
             raise ValueError("an orbit needs at least one class")
         for _, mult in classes:
@@ -168,7 +165,7 @@ class OrbitDescriptor:
         if len({cls for cls, _ in classes}) != len(classes):
             raise ValueError("orbit classes must be pairwise distinct")
         _check_label_consistency(cls.rho for cls, _ in classes)
-        object.__setattr__(self, "classes", classes)
+        set_field(self, "classes", classes)
 
     @property
     def k(self) -> int:

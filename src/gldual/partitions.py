@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 
 # one entry per n seen: at most 21 (n <= 20) at the default limits, holding the
@@ -42,7 +42,7 @@ def multipartitions(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
 
 
 # one entry per partition seen: at most 2,713 (the sum of p(n), 1 <= n <= 20) at
-# the default limits; a raised --max-degree, or `project` above degree 20, keeps more
+# the default limits; a raised --max-degree keeps more
 @functools.lru_cache(maxsize=None)
 def part_multiplicities(partition: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(part, multiplicity) pairs of a partition, parts in decreasing order."""

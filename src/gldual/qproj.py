@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
-from .bernstein import Component, CycleType, Stratum
+from ._value import Value, set_field
+from .bernstein import STRATA_LIMIT, Component, CycleType, Stratum
 from .errors import LimitExceeded
 from .scalars import QScalar
 
@@ -36,14 +36,13 @@ __all__ = [
 FIBER_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class SymPoint:
+class SymPoint(Value):
     """A point of the ordinary quotient: one multiset of scalars per block, stored sorted."""
 
-    blocks: tuple[tuple[QScalar, ...], ...]
+    _fields = ("blocks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks))
+    def __init__(self, blocks: tuple[tuple[QScalar, ...], ...]):
+        set_field(self, "blocks", tuple(tuple(sorted(b)) for b in blocks))
 
     def to_json(self) -> dict:
         return {"blocks": [[z.to_json() for z in b] for b in self.blocks]}
@@ -53,8 +52,7 @@ class SymPoint:
         return cls(tuple(tuple(QScalar.from_json(z) for z in b) for b in data["blocks"]))
 
 
-@dataclass(frozen=True)
-class StratumPoint:
+class StratumPoint(Value):
     """A point of one extended-quotient stratum: one coordinate per cycle.
 
     Coordinates follow the cycle type (blocks in order, parts weakly
@@ -62,21 +60,21 @@ class StratumPoint:
     equality respect the residual centralizer action.
     """
 
-    stratum: Stratum
-    coords: tuple[QScalar, ...]
+    _fields = ("stratum", "coords")
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        if len(coords) != self.stratum.torus_rank:
+    def __init__(self, stratum: Stratum, coords: tuple[QScalar, ...]):
+        coords = tuple(coords)
+        if len(coords) != stratum.torus_rank:
             raise ValueError(
-                "expected %d coordinates, got %d" % (self.stratum.torus_rank, len(coords))
+                "expected %d coordinates, got %d" % (stratum.torus_rank, len(coords))
             )
         canonical = []
         i = 0
-        for run in self.stratum.residual_blocks():
+        for run in stratum.residual_blocks():
             canonical.extend(sorted(coords[i : i + run]))
             i += run
-        object.__setattr__(self, "coords", tuple(canonical))
+        set_field(self, "stratum", stratum)
+        set_field(self, "coords", tuple(canonical))
 
     def to_json(self) -> dict:
         return {
@@ -101,8 +99,15 @@ def q_string(alpha: int, z: QScalar, scale: Fraction = Fraction(1)) -> tuple[QSc
     )
 
 
-def project(point: StratumPoint) -> SymPoint:
-    """Apply the q-projection: blockwise union of the strings of the coordinates."""
+def project(point: StratumPoint, max_degree: int = STRATA_LIMIT) -> SymPoint:
+    """Apply the q-projection: blockwise union of the strings of the coordinates.
+
+    The image has one scalar per unit of the component's degree, so a
+    component of degree above `max_degree` is refused with LimitExceeded.
+    """
+    degree = point.stratum.component.degree
+    if degree > max_degree:
+        raise LimitExceeded("component degree %d exceeds the limit %d" % (degree, max_degree))
     blocks_out = []
     i = 0
     for block, parts in zip(

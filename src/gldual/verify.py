@@ -16,10 +16,10 @@ import itertools
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import retract
+from ._value import Value, set_field
 from .bernstein import Component, CycleType, Stratum, enumerate_strata, orbit_stratum_bijection
 from .cohomology import PermutationAction, component_hp, invariant_exterior_dims, \
     orbit_hp_dimension, orbit_poincare, stratum_poincare, tempered_orbit_poincare
@@ -40,13 +40,18 @@ FIBER_TOTAL_MAX = 5
 ROOT_SEPARATION = 1e-3  # least distance between two roots of a round-trip sample
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-    budget: float | None = None
+class CheckResult(Value):
+    """The outcome of one acceptance check, with its time and its budget in seconds."""
+
+    _fields = ("name", "passed", "detail", "seconds", "budget")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float,
+                 budget: float | None = None):
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
+        set_field(self, "seconds", seconds)
+        set_field(self, "budget", budget)
 
     def to_json(self) -> dict:
         out = {

@@ -187,6 +187,42 @@ def test_hp_above_the_default_limit_needs_only_max_degree(capsys):
     assert report == {"hp0": 4952, "hp1": 4952, "orbit_dim": 4952}
 
 
+def test_project_refuses_a_component_above_its_degree_limit(capsys):
+    # the image would hold 10^8 scalars: refused before any is built
+    start = time.perf_counter()
+    code, report, _ = run_cli(capsys, "project", "--component", "(100000000)",
+                              "--cycle", "(100000000)", "--coords", "{1}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and report["error"] == {
+        "type": "limit", "message": "component degree 100000000 exceeds the limit 20"}
+    shorthand = ("project", "--component", "(3)", "--cycle", "(2,1)", "--coords", "{q,1}")
+    code, report, _ = run_cli(capsys, *shorthand, "--max-degree", "2")
+    assert code == 3 and report["error"]["type"] == "limit"
+    _, default, _ = run_cli(capsys, *shorthand)
+    code, raised, _ = run_cli(capsys, *shorthand, "--max-degree", "3")
+    assert code == 0 and raised == default
+    code, report, _ = run_cli(capsys, *shorthand, "--max-degree", "-1")
+    assert code == 2 and report["error"]["message"] == "--max-degree must be nonnegative, got -1"
+
+
+def test_symcoords_sigma_refuses_a_degree_above_its_limit(capsys):
+    sigma = json.dumps([{"re": 1}] * 65)
+    start = time.perf_counter()
+    code, report, _ = run_cli(capsys, "symcoords", "--sigma", sigma)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and report["error"] == {
+        "type": "limit", "message": "polynomial degree 65 exceeds the root-finding limit 64"}
+    # x^65 - x^64 + ... - 1: the 66th roots of unity other than 1
+    code, report, _ = run_cli(capsys, "symcoords", "--sigma", sigma, "--max-degree", "65")
+    assert code == 0 and len(report["points"]) == 65
+    code, report, _ = run_cli(capsys, "symcoords", "--sigma", '[{"re":5},{"re":6}]',
+                              "--max-degree", "1")
+    assert code == 3 and report["error"]["type"] == "limit"
+    # the guard is on root finding only: --points has none
+    code, report, _ = run_cli(capsys, "symcoords", "--points", sigma, "--max-degree", "1")
+    assert code == 0 and len(report["sigma"]) == 65
+
+
 def _strict_json(text):
     def refuse(token):
         raise ValueError("non-JSON token %s" % token)

@@ -1,5 +1,6 @@
-"""The package exports each module's `__all__`; the library and every command-line
-verb load no numeric third-party package, and only `gldual verify` loads the
+"""The package exports each module's `__all__` but loads a module only on first
+use; each command-line verb loads its own modules only, none of them a numeric
+third-party package or `dataclasses`, and only `gldual verify` loads the
 regression suite."""
 
 import importlib
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gldual
 
@@ -88,11 +91,12 @@ SURFACE = {
     "retract": ["homotopy", "homotopy_point", "temper_parameter", "temper_point"],
     "scalars": ["ONE", "QScalar", "q_power", "unit", "exact_int", "exact_rational",
                 "MAX_DECIMAL_EXPONENT"],
-    "symfun": ["SymCoords", "from_sym_coords", "match_multisets", "to_sym_coords"],
+    "symfun": ["SymCoords", "from_sym_coords", "match_multisets", "to_sym_coords",
+               "ROOTS_LIMIT"],
 }
 # gldual.partitions stays the module: a star import would bind its function there
 SUBMODULES = (*SURFACE, "partitions")
-DEFERRED = {"aberth", "cli", "verify"}
+DEFERRED = ("aberth", "cli", "verify")
 
 
 def test_package_exports_each_public_name_from_its_home_module():
@@ -100,11 +104,64 @@ def test_package_exports_each_public_name_from_its_home_module():
         module = importlib.import_module("gldual." + home)
         for name in names:
             assert getattr(gldual, name) is getattr(module, name), (home, name)
-    for name in SUBMODULES:
-        assert getattr(gldual, name) is sys.modules["gldual." + name]
-    # the deferred modules become attributes once some call has loaded them
-    public = {name for name in vars(gldual) if not name.startswith("_")} - DEFERRED
-    assert public == {*SUBMODULES, *(n for names in SURFACE.values() for n in names)}
+    for name in (*SUBMODULES, *DEFERRED):
+        assert getattr(gldual, name) is importlib.import_module("gldual." + name)
+    exported = [n for names in SURFACE.values() for n in names]
+    assert sorted(gldual.__all__) == sorted(exported)
+    public = {name for name in dir(gldual) if not name.startswith("_")}
+    assert public == {*SUBMODULES, *DEFERRED, *exported}
+    namespace = {}
+    exec("from gldual import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(exported)
+
+
+def test_import_loads_no_gldual_module():
+    proc = _run("-c", "import sys, gldual; "
+                      "print(sorted(m for m in sys.modules if m.startswith('gldual.')))")
+    assert proc.returncode == 0 and proc.stdout.split() == ["[]"]
+
+
+# each verb, and the gldual modules it loads in a fresh process: its own layers
+# and what they import, nothing more
+_EXACT = {"gldual._value", "gldual.bernstein", "gldual.cli", "gldual.errors",
+          "gldual.parameters", "gldual.partitions", "gldual.scalars"}
+_SYMCOORDS = {"gldual._value", "gldual.cli", "gldual.errors", "gldual.symfun"}
+_PARAMETER = {"summands": [{"rho": {"id": "a"}, "j": "0",
+                            "twist": {"q_exp": "1", "turn": "1/3"}}]}
+VERBS = {
+    "strata": (("strata", "--component", "(3)"), _EXACT),
+    "orbits": (("orbits", "--component", "(2,1)"), _EXACT),
+    "hp": (("hp", "--component", "(3)"), _EXACT | {"gldual.cohomology"}),
+    "project": (("project", "--component", "(3)", "--cycle", "(2,1)", "--coords", "{q,1}"),
+                _EXACT | {"gldual.qproj"}),
+    "fiber": (("fiber", "--component", "(3)", "--point", "{q^-1,1,q}"),
+              _EXACT | {"gldual.qproj"}),
+    "temper": (("temper", "--input", json.dumps(_PARAMETER)),
+               _EXACT | {"gldual.qproj", "gldual.retract"}),
+    "homotopy": (("homotopy", "--input", json.dumps(_PARAMETER), "--t", "1/2"),
+                 _EXACT | {"gldual.qproj", "gldual.retract"}),
+    "symcoords --points": (("symcoords", "--points", '[{"re": 2}, {"re": 3}]'), _SYMCOORDS),
+    "symcoords --sigma": (("symcoords", "--sigma", '[{"re": 5}, {"re": 6}]'),
+                          _SYMCOORDS | {"gldual.aberth"}),
+    "verify": (("verify", "--fiber-samples", "1", "--sym-samples", "1"),
+               _EXACT | {"gldual.aberth", "gldual.cohomology", "gldual.qproj",
+                         "gldual.retract", "gldual.symfun", "gldual.verify"}),
+}
+GLDUAL_MODULES = tuple(sorted("gldual." + path.stem
+                              for path in Path(gldual.__file__).parent.glob("*.py")
+                              if path.stem != "__init__"))
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_each_verb_loads_only_its_own_modules(verb):
+    argv, expected = VERBS[verb]
+    code, loaded = _loaded(*argv, watched=(*GLDUAL_MODULES, "dataclasses", "fractions",
+                                           *NUMERIC))
+    assert code == 0
+    assert {m for m in loaded if m.startswith("gldual.")} == expected
+    # no verb loads dataclasses or a numeric package, and symcoords not fractions
+    assert not {"dataclasses", *NUMERIC} & set(loaded)
+    assert ("fractions" in loaded) == (not verb.startswith("symcoords"))
 
 
 def test_no_name_is_public_in_two_modules():

@@ -215,6 +215,14 @@ def test_fiber_degree_limit():
         fiber(y, c)
 
 
+def test_project_degree_limit():
+    s = Stratum(Component.from_exponents((21,)), CycleType(((21,),)))
+    with pytest.raises(LimitExceeded):
+        project(StratumPoint(s, (ONE,)))
+    image = project(StratumPoint(s, (ONE,)), max_degree=21)
+    assert image == SymPoint((tuple(q_power(i - 10) for i in range(21)),))
+
+
 def test_stratum_point_canonicalization():
     s = stratum(C3, (1, 1, 1))
     a = StratumPoint(s, (q_power(2), ONE, q_power(1)))

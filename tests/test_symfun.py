@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gldual.aberth
-from gldual.errors import RootFindingError
-from gldual.symfun import SymCoords, from_sym_coords, match_multisets, to_sym_coords
+from gldual.errors import LimitExceeded, RootFindingError
+from gldual.symfun import ROOTS_LIMIT, SymCoords, from_sym_coords, match_multisets, to_sym_coords
 
 
 def test_forward_examples():
@@ -22,6 +22,15 @@ def test_inverse_examples():
     assert from_sym_coords(SymCoords((5, 6))) == pytest.approx((2 + 0j, 3 + 0j))
     roots = from_sym_coords(SymCoords((0, -1)))
     assert sorted(r.real for r in roots) == pytest.approx([-1, 1])
+
+
+def test_root_finding_degree_limit():
+    coords = SymCoords((1,) * (ROOTS_LIMIT + 1))
+    with pytest.raises(LimitExceeded):
+        from_sym_coords(coords)
+    assert len(from_sym_coords(coords, max_degree=ROOTS_LIMIT + 1)) == ROOTS_LIMIT + 1
+    with pytest.raises(LimitExceeded):
+        from_sym_coords(SymCoords((5, 6)), max_degree=1)
 
 
 def test_zero_point_rejected():
