@@ -1,10 +1,11 @@
 """Exact geometric invariants of the smooth dual of p-adic GL(n).
 
 Orbits of Langlands parameters and their (l, k) shapes, Bernstein components
-with their extended-quotient strata, periodic cyclic homology dimensions from
-the per-stratum cohomology (1+t)^k, as for the compact orbits (exact Molien
-averaging is only the cross-check of `verify` and the tests), the q-projection
-with complete fiber enumeration, and the tempering retraction.
+with their extended-quotient strata, periodic cyclic homology dimensions in
+closed form, half the product of the exponents' overpartition counts (the
+walks over strata and orbits that sum the per-stratum cohomology (1+t)^k, and
+exact Molien averaging, are only the cross-checks of `verify` and the tests),
+the q-projection with complete fiber enumeration, and the tempering retraction.
 Rationals are exact throughout: a float where a rational belongs raises
 TypeError rather than being snapped.
 

@@ -189,12 +189,16 @@ class Stratum(Value):
         )
 
 
+def _check_degree(component: Component, limit: int, name: str = "the limit") -> None:
+    """Refuse a component of degree above `limit` with LimitExceeded: the one
+    degree guard of strata, orbits, HP, the q-projection and fibers."""
+    if component.degree > limit:
+        raise LimitExceeded("component degree %d exceeds %s %d" % (component.degree, name, limit))
+
+
 def enumerate_strata(component: Component, max_degree: int = STRATA_LIMIT) -> list[Stratum]:
     """All strata of the extended quotient, one per multipartition, in canonical order."""
-    if component.degree > max_degree:
-        raise LimitExceeded(
-            "component degree %d exceeds the limit %d" % (component.degree, max_degree)
-        )
+    _check_degree(component, max_degree)
     # multipartitions yields one weakly decreasing partition of e_i per block
     return [
         _trusted(Stratum, component=component,

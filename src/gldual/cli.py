@@ -144,11 +144,11 @@ def _cmd_orbits(args) -> tuple[int, dict]:
 
 
 def _cmd_hp(args) -> tuple[int, dict]:
-    from .cohomology import component_hp, orbit_hp_dimension
+    from .cohomology import orbit_hp_dimension
 
     component = _parse_component(args.component)
-    hp0, hp1 = component_hp(component, **_limit(args))
-    return 0, {"hp0": hp0, "hp1": hp1, "orbit_dim": orbit_hp_dimension(component, **_limit(args))}
+    d = orbit_hp_dimension(component, **_limit(args))
+    return 0, {"hp0": d, "hp1": d, "orbit_dim": d}
 
 
 def _stratum_point_from_args(args):
@@ -266,16 +266,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, help=what)
         return p
 
-    def with_component(p):
+    def with_component(p, limit="default: STRATA_LIMIT"):
         p.add_argument("--component", required=True,
                        help="component JSON, @file, or exponent shorthand like '(2,1)'")
-        return with_limit(p, "refuse a component of higher degree (default: STRATA_LIMIT)")
+        return with_limit(p, "refuse a component of higher degree (%s)" % limit)
 
     p = with_component(sub.add_parser("strata", help="extended-quotient strata"))
     p.set_defaults(handler=_cmd_strata)
     p = with_component(sub.add_parser("orbits", help="parameter orbits over a component"))
     p.set_defaults(handler=_cmd_orbits)
-    p = with_component(sub.add_parser("hp", help="periodic cyclic homology dimensions"))
+    p = with_component(sub.add_parser("hp", help="periodic cyclic homology dimensions"),
+                       "default: STRATA_LIMIT; never above HP_LIMIT")
     p.set_defaults(handler=_cmd_hp)
 
     p = sub.add_parser("project", help="apply the q-projection to a stratum point")

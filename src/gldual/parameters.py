@@ -36,7 +36,8 @@ __all__ = [
 def _trusted(cls, **fields):
     """An instance of the value class `cls` with `fields` set as given, unchecked."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():
+        set_field(obj, name, value)
     return obj
 
 

@@ -4,7 +4,9 @@ Partitions are weakly decreasing tuples of positive integers.  The canonical
 enumeration order used everywhere in this package is plain lexicographic
 order on those tuples, e.g. for n = 3: (1,1,1) < (2,1) < (3).  The partitions
 of n are one memoised tuple per n, read by strata, orbits and Molien averages
-alike; runs of equal parts are read off `part_multiplicities` alone.
+alike; runs of equal parts are read off `part_multiplicities` alone.  The
+overpartition counts, which give the HP dimensions in closed form, come from
+one growing table and enumerate nothing.
 """
 
 from __future__ import annotations
@@ -59,3 +61,28 @@ def centralizer_order(partition: tuple[int, ...]) -> int:
     for part, mult in part_multiplicities(partition):
         z *= part**mult * math.factorial(mult)
     return z
+
+
+# p̄(0), p̄(1), ...: grown on demand up to the largest n asked for, at most
+# HP_LIMIT + 1 entries through the `hp` verb
+_OVERPARTITIONS = [1]
+
+
+def overpartition_count(n: int) -> int:
+    """p̄(n), the number of overpartitions of n (Corteel & Lovejoy 2004; OEIS A015128).
+
+    The generating function is prod (1 + x^m) / (1 - x^m), whose inverse is
+    sum_k (-1)^k x^(k^2) by Gauss's identity, so for n >= 1
+    p̄(n) = 2 * sum_{k >= 1} (-1)^(k+1) p̄(n - k^2): O(n^1.5) steps to fill the table.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    table = _OVERPARTITIONS
+    while len(table) <= n:
+        m = len(table)
+        total, k, sign = 0, 1, 1
+        while k * k <= m:
+            total += sign * table[m - k * k]
+            k, sign = k + 1, -sign
+        table.append(2 * total)
+    return table[n]

@@ -19,8 +19,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from ._value import Value, set_field
-from .bernstein import STRATA_LIMIT, Component, CycleType, Stratum
-from .errors import LimitExceeded
+from .bernstein import STRATA_LIMIT, Component, CycleType, Stratum, _check_degree
 from .scalars import QScalar
 
 __all__ = [
@@ -105,9 +104,7 @@ def project(point: StratumPoint, max_degree: int = STRATA_LIMIT) -> SymPoint:
     The image has one scalar per unit of the component's degree, so a
     component of degree above `max_degree` is refused with LimitExceeded.
     """
-    degree = point.stratum.component.degree
-    if degree > max_degree:
-        raise LimitExceeded("component degree %d exceeds the limit %d" % (degree, max_degree))
+    _check_degree(point.stratum.component, max_degree)
     blocks_out = []
     i = 0
     for block, parts in zip(
@@ -176,10 +173,7 @@ def fiber(
                 "block %r expects a multiset of size %d, got %d"
                 % (block.label, block.exponent, len(mset))
             )
-    if component.degree > max_degree:
-        raise LimitExceeded(
-            "component degree %d exceeds the fiber limit %d" % (component.degree, max_degree)
-        )
+    _check_degree(component, max_degree, "the fiber limit")
 
     # An element sits at position q_exp // q_scale of its block's q-line (turn,
     # q_exp mod q_scale).  Only occupied cells are kept, so no q-string crosses a gap.

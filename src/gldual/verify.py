@@ -5,8 +5,10 @@ q-projections, extended-quotient shapes, HP dimensions, the orbit-count
 dimension formula, retraction laws, fiber completeness against a brute-force
 reference, symmetric-coordinate round trips) together with its exactness and
 runtime budget.  The CLI `verify` verb and the acceptance test suite both run
-these; the brute-force fiber reference lives here so it never shares code
-paths with the production search in :mod:`gldual.qproj`.
+these.  The brute-force fiber reference lives here so it never shares code
+paths with the production search in :mod:`gldual.qproj`, and so do the walks
+that sum HP over strata and orbits, which check the closed form of
+:mod:`gldual.cohomology`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .qproj import FIBER_LIMIT, StratumPoint, SymPoint, fiber, project
 from .scalars import ONE, QScalar, q_power, unit
 from .symfun import from_sym_coords, match_multisets, to_sym_coords
 
-__all__ = ["CheckResult", "fiber_reference", "run_all"]
+__all__ = ["CheckResult", "fiber_reference", "hp_by_walks", "run_all"]
 
 # The sweeps cover every exponent vector of total up to SWEEP_TOTAL_MAX (the HP
 # sweep only those of at most SWEEP_MAX_BLOCKS blocks); the fiber oracle draws
@@ -178,12 +180,41 @@ def check_strata_shapes() -> CheckResult:
                    t0, budget=1.0)
 
 
+def hp_by_walks(component: Component) -> tuple[tuple[int, int], ...]:
+    """(HP_0, HP_1) of the component three ways, each walking every stratum.
+
+    The even and odd totals of `stratum_poincare`; the orbit count
+    sum(2^(k-1)) for both parities; and the even and odd totals of the Molien
+    average over each stratum's residual group S_m1 x S_m2 x ..., the product
+    of the averages over its factors S_m, each computed once per m.  The
+    totals of a polynomial P are (P(1) + P(-1)) / 2 and (P(1) - P(-1)) / 2,
+    and P(1), P(-1) multiply over the factors.
+    """
+    pairs = orbit_stratum_bijection(component)
+    strata = [stratum_poincare(s) for _, s in pairs]
+    orbits = sum(2 ** (orbit.k - 1) for orbit, _ in pairs)
+    at_pm1 = {}  # m -> (P(1), P(-1)) of the Molien average over S_m
+    molien = [0, 0]
+    for _, stratum in pairs:
+        plus = minus = 1
+        for m in stratum.residual_blocks():
+            if m not in at_pm1:
+                poly = invariant_exterior_dims(PermutationAction((m,)))
+                at_pm1[m] = (poly.total(), poly.even_total - poly.odd_total)
+            plus *= at_pm1[m][0]
+            minus *= at_pm1[m][1]
+        molien[0] += (plus + minus) // 2
+        molien[1] += (plus - minus) // 2
+    return ((sum(p.even_total for p in strata), sum(p.odd_total for p in strata)),
+            (orbits, orbits), tuple(molien))
+
+
 _HP_EXPECTED = {(1,): (1, 1), (2,): (2, 2), (3,): (4, 4), (4,): (7, 7)}
 
 
 def check_hp_values() -> CheckResult:
-    """HP dimensions for the single-block components of degree 1..4, each equal
-    to the orbit-count formula."""
+    """HP dimensions for the single-block components of degree 1..4 in closed
+    form, each equal to the strata walk, the orbit count and the Molien average."""
     t0 = time.perf_counter()
     ok = True
     got = {}
@@ -191,9 +222,10 @@ def check_hp_values() -> CheckResult:
         t_one = time.perf_counter()
         c = Component.from_exponents(exponents)
         hp = component_hp(c)
-        by_orbits = orbit_hp_dimension(c)
+        d = orbit_hp_dimension(c)
         got[exponents] = hp
-        ok &= hp == expected and by_orbits == expected[0]
+        ok &= hp == expected == (d, d)
+        ok &= all(walk == expected for walk in hp_by_walks(c))
         ok &= time.perf_counter() - t_one < 1.0
     return _result("hp_dimensions", ok, "hp per degree: %s" % (sorted(got.items()),),
                    t0, budget=5.0)
@@ -209,18 +241,21 @@ def _compositions(total_max: int, max_blocks: int | None):
 
 
 def check_hp_consistency_sweep() -> CheckResult:
-    """hp0 = hp1 = orbit-count formula over every exponent vector with small total."""
+    """hp0 = hp1 = orbit-count formula in closed form, and equal to the strata
+    walk, the orbit count and the Molien average, over every exponent vector
+    with small total."""
     t0 = time.perf_counter()
     checked = 0
     ok = True
     for exponents in _compositions(SWEEP_TOTAL_MAX, SWEEP_MAX_BLOCKS):
         c = Component.from_exponents(exponents)
-        hp0, hp1 = component_hp(c)
-        ok &= hp0 == hp1 == orbit_hp_dimension(c)
+        d = orbit_hp_dimension(c)
+        ok &= component_hp(c) == (d, d)
+        ok &= all(walk == (d, d) for walk in hp_by_walks(c))
         checked += 1
     return _result("hp_orbit_count_consistency", ok,
-                   "%d components with total exponent <= %d" % (checked, SWEEP_TOTAL_MAX),
-                   t0, budget=60.0)
+                   "%d components with total exponent <= %d, closed form against "
+                   "three walks" % (checked, SWEEP_TOTAL_MAX), t0, budget=60.0)
 
 
 _TWIST_POOL = (

@@ -181,7 +181,7 @@ def test_limit_refusal_exit_code(capsys):
 def test_hp_above_the_default_limit_needs_only_max_degree(capsys):
     code, report, _ = run_cli(capsys, "hp", "--component", "(21)")
     assert code == 3 and report["error"]["type"] == "limit"
-    # --max-degree is the one guard: the per-stratum cohomology has no rank limit
+    # up to HP_LIMIT, --max-degree is the one guard: the closed form has no rank limit
     code, report, _ = run_cli(capsys, "hp", "--component", "(21)", "--max-degree", "21")
     assert code == 0
     assert report == {"hp0": 4952, "hp1": 4952, "orbit_dim": 4952}
@@ -434,7 +434,7 @@ def test_component_verbs_always_answer_in_json(verb, tokens, max_degree):
         assert report["hp0"] == report["hp1"] == report["orbit_dim"]
 
 
-@pytest.mark.parametrize("verb", ["strata", "orbits", "hp"])
+@pytest.mark.parametrize("verb", ["strata", "orbits"])
 @pytest.mark.parametrize("component", ["(1200)", "(1100,100)"])
 def test_partition_walk_deeper_than_the_interpreter_is_a_limit(capsys, verb, component):
     # the first partition of 1200 is all ones, one generator frame per part:
@@ -447,6 +447,23 @@ def test_partition_walk_deeper_than_the_interpreter_is_a_limit(capsys, verb, com
     error = _strict_json(captured.out)["error"]
     assert error["type"] == "limit"
     assert "more recursion depth than the interpreter allows" in error["message"]
+    assert "Traceback" not in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("component, max_degree", [
+    ("(1200)", "1200"), ("(1100,100)", "1200"), ("(100000000)", "100000000")])
+def test_hp_above_its_ceiling_is_a_limit_whatever_max_degree_says(capsys, component,
+                                                                   max_degree):
+    # hp walks no partitions; a raised --max-degree lifts its limit up to HP_LIMIT only
+    start = time.perf_counter()
+    code = main(["hp", "--component", component, "--max-degree", max_degree])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3
+    error = _strict_json(captured.out)["error"]
+    assert error["type"] == "limit"
+    assert "HP_LIMIT" in error["message"]
     assert "Traceback" not in captured.err
     assert elapsed < 1.0
 

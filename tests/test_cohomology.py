@@ -1,9 +1,12 @@
 import itertools
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gldual.bernstein import Component, enumerate_orbits, enumerate_strata, \
     orbit_stratum_bijection
@@ -20,6 +23,8 @@ from gldual.cohomology import (
 )
 from gldual.errors import LimitExceeded
 from gldual.parameters import TRIVIAL, InertialClass, OrbitDescriptor
+from gldual.partitions import overpartition_count
+from gldual.verify import hp_by_walks
 
 
 # --- independent oracle: invariant dimensions by averaging traces on the
@@ -252,4 +257,48 @@ def test_hp_path_never_reaches_the_molien_average(monkeypatch, capsys):
     h = overpartition_counts(12)[12] // 2
     assert component_hp(Component.from_exponents((12,))) == (h, h)
     assert main(["hp", "--component", "(12)"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"hp0": h, "hp1": h, "orbit_dim": h}
+
+
+def test_overpartition_table_matches_the_series():
+    assert [overpartition_count(n) for n in range(301)] == overpartition_counts(300)
+    with pytest.raises(ValueError):
+        overpartition_count(-1)
+
+
+_compositions_to_20 = st.lists(st.integers(1, 20), min_size=1, max_size=4).filter(
+    lambda exponents: sum(exponents) <= 20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponents=_compositions_to_20)
+def test_closed_form_equals_the_strata_orbit_and_molien_walks(exponents):
+    c = Component.from_exponents(tuple(exponents))
+    d = orbit_hp_dimension(c)
+    assert component_hp(c) == (d, d)
+    assert hp_by_walks(c) == ((d, d), (d, d), (d, d))
+
+
+def test_hp_path_never_walks_strata_or_orbits(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("HP is a closed form; the walks are the oracles of verify")
+
+    monkeypatch.setattr("gldual.bernstein.enumerate_strata", forbidden)
+    monkeypatch.setattr("gldual.bernstein.enumerate_orbits", forbidden)
+    # every walk reaches this, under whatever name a module imported the walk
+    monkeypatch.setattr("gldual.bernstein.multipartitions", forbidden)
+    h = overpartition_counts(12)[12] // 2
+    assert component_hp(Component.from_exponents((12,))) == (h, h)
+    assert orbit_hp_dimension(Component.from_exponents((12,))) == h
+    assert main(["hp", "--component", "(12)"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"hp0": h, "hp1": h, "orbit_dim": h}
+
+
+def test_hp_answers_above_the_default_limit_up_to_max_degree(capsys):
+    # p(60) = 966,467 strata, none of them built
+    h = overpartition_counts(60)[60] // 2
+    assert h == 36975904
+    start = time.perf_counter()
+    assert main(["hp", "--component", "(60)", "--max-degree", "60"]) == 0
+    assert time.perf_counter() - start < 1.0
     assert json.loads(capsys.readouterr().out) == {"hp0": h, "hp1": h, "orbit_dim": h}

@@ -81,7 +81,7 @@ SURFACE = {
                   "enumerate_strata", "orbit_stratum_bijection", "STRATA_LIMIT"],
     "cohomology": ["PermutationAction", "PoincarePolynomial", "component_hp",
                    "invariant_exterior_dims", "orbit_hp_dimension", "orbit_poincare",
-                   "stratum_poincare", "tempered_orbit_poincare", "RANK_LIMIT"],
+                   "stratum_poincare", "tempered_orbit_poincare", "RANK_LIMIT", "HP_LIMIT"],
     "errors": ["LimitExceeded", "RootFindingError"],
     "parameters": ["InertialClass", "LParameter", "OrbitDescriptor", "WeilLabel", "dimension",
                    "is_discrete_series", "is_supercuspidal", "is_tempered", "orbit_of",

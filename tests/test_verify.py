@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import gldual.partitions
 import gldual.qproj
 import gldual.scalars
 import gldual.verify as verify
@@ -56,6 +57,20 @@ def test_hp_regression_detects_total_dimension_misread(monkeypatch):
     monkeypatch.setattr(verify, "orbit_hp_dimension", lambda c, *a, **kw: 2 * original(c))
     assert not verify.check_hp_values().passed
     assert not verify.check_hp_consistency_sweep().passed
+
+
+def test_hp_regression_detects_a_corrupted_overpartition_count(monkeypatch):
+    # one wrong entry of the table behind the closed form, p̄(4) = 14 read as 16,
+    # must disagree with the strata, orbit and Molien walks
+    gldual.partitions.overpartition_count(8)
+    table = list(gldual.partitions._OVERPARTITIONS)
+    table[4] += 2
+    monkeypatch.setattr(gldual.partitions, "_OVERPARTITIONS", table)
+    assert not verify.check_hp_values().passed
+    assert not verify.check_hp_consistency_sweep().passed
+    monkeypatch.undo()
+    assert verify.check_hp_values().passed
+    assert verify.check_hp_consistency_sweep().passed
 
 
 def test_check_results_report_budgets():
