@@ -12,7 +12,7 @@ gets one table from its partitions to their (inertial class, multiplicity)
 entries, sharing one class per (block, part), and an orbit concatenates its
 blocks' entries; both read runs of equal parts from `part_multiplicities`.
 The walk's output is valid by construction, so it is made by the unchecked
-`parameters._trusted`; the public constructors and every `from_json` still
+`_value._trusted`; the public constructors and every `from_json` still
 check their input.
 """
 
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, set_field
+from ._value import Value, _trusted, set_field
 from .errors import LimitExceeded
-from .parameters import InertialClass, OrbitDescriptor, WeilLabel, _trusted
+from .parameters import InertialClass, OrbitDescriptor, WeilLabel
 from .partitions import multipartitions, part_multiplicities, partitions
 from .scalars import _fraction, exact_int, exact_rational
 
@@ -37,7 +37,8 @@ __all__ = [
     "orbit_stratum_bijection",
 ]
 
-# Strata/orbit/HP enumerations refuse components above this total exponent.
+# Default degree limit of the strata and orbit walks and of `project`; HP walks
+# nothing and takes it as its default only, under the ceiling HP_LIMIT.
 STRATA_LIMIT = 20
 
 
@@ -60,11 +61,6 @@ class Block(Value):
         set_field(self, "label", label)
         set_field(self, "exponent", exponent)
         set_field(self, "q_scale", q_scale)
-
-    def weil_label(self) -> WeilLabel:
-        # Blocks are abstract supercuspidals; a unit-dimensional unitary
-        # placeholder suffices because only class identity enters invariants.
-        return WeilLabel(self.label, 1, True)
 
 
 class Component(Value):
@@ -217,7 +213,9 @@ def _orbits_for(component: Component, strata: list[Stratum]) -> list[OrbitDescri
     """
     tables = []
     for i, block in sorted(enumerate(component.blocks), key=lambda ib: ib[1].label):
-        rho = block.weil_label()
+        # Blocks are abstract supercuspidals; a unit-dimensional unitary
+        # placeholder suffices because only class identity enters invariants.
+        rho = WeilLabel(block.label, 1, True)
         classes = [InertialClass(rho, Fraction(part - 1, 2))
                    for part in range(1, block.exponent + 1)]
         tables.append((i, {

@@ -9,8 +9,10 @@ interpreter's recursion limit).  Components and points are passed inline as JSON
 
 Each verb imports the modules it runs inside its handler and parse helpers,
 so a process pays for its own verb only: `symcoords`, for one, loads neither
-the exact layers nor `fractions`.  A `--max-degree` left out is not passed
-on, and the library's own default limit applies.
+the exact layers nor `fractions`.  Likewise a process builds the argparse
+subparser of its own verb only; help, no verb and an unknown verb build all
+nine.  A `--max-degree` left out is not passed on, and the library's own
+default limit applies.
 """
 
 from __future__ import annotations
@@ -118,10 +120,6 @@ def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _numeric_blocks(point, q: float) -> list:
-    return [[_complex_json(z.to_complex(q)) for z in block] for block in point.blocks]
-
-
 def _limit(args) -> dict:
     """`--max-degree` as the library keyword, or nothing when it was left out."""
     return {} if args.max_degree is None else {"max_degree": args.max_degree}
@@ -175,7 +173,8 @@ def _cmd_project(args) -> tuple[int, dict]:
     image = project(point, **_limit(args))
     report = {"point": point.to_json(), "image": image.to_json()}
     if args.q is not None:
-        report["numeric"] = _numeric_blocks(image, args.q)
+        report["numeric"] = [[_complex_json(z.to_complex(args.q)) for z in block]
+                             for block in image.blocks]
     return 0, report
 
 
@@ -254,69 +253,61 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (0 if passed else 1), {"passed": passed, "checks": [r.to_json() for r in results]}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# default None for --max-degree: the handler then leaves the library's own limit in force
+_DEGREE = "refuse a component of higher degree (default: %s)"
+_STRATA_DEGREE = ("--max-degree", {"type": int, "help": _DEGREE % "STRATA_LIMIT"})
+_COMPONENT = ("--component", {
+    "required": True, "help": "component JSON, @file, or exponent shorthand like '(2,1)'"})
+_CARRIER = ("--input", {"required": True, "help": "parameter or stratum point JSON"})
+
+# verb -> (help, handler, its add_argument calls as (flag, options) pairs), in the
+# order `gldual --help` lists them
+_VERBS = {
+    "strata": ("extended-quotient strata", _cmd_strata, [_COMPONENT, _STRATA_DEGREE]),
+    "orbits": ("parameter orbits over a component", _cmd_orbits, [_COMPONENT, _STRATA_DEGREE]),
+    "hp": ("periodic cyclic homology dimensions", _cmd_hp, [_COMPONENT, (
+        "--max-degree", {"type": int, "help": _DEGREE % "STRATA_LIMIT; never above HP_LIMIT"})]),
+    "project": ("apply the q-projection to a stratum point", _cmd_project, [
+        ("--point", {"help": "stratum point JSON or @file"}),
+        ("--component", {"help": "shorthand alternative to --point"}),
+        ("--cycle", {"help": "cycle type shorthand, e.g. '(2,1)'"}),
+        ("--coords", {"help": "coordinates shorthand, e.g. '{q,1}'"}),
+        ("--q", {"type": float, "help": "also evaluate the image at this numeric q"}),
+        _STRATA_DEGREE]),
+    "fiber": ("enumerate a q-projection fiber", _cmd_fiber, [
+        ("--component", {"required": True}),
+        ("--point", {"required": True,
+                     "help": "quotient point JSON, @file, or shorthand like '{q^-1,1,q}'"}),
+        ("--max-degree", {"type": int, "help": _DEGREE % "FIBER_LIMIT"})]),
+    "temper": ("retract onto the tempered locus", _cmd_temper, [_CARRIER]),
+    "homotopy": ("evaluate the tempering homotopy", _cmd_homotopy, [
+        _CARRIER, ("--t", {"required": True, "help": "rational time in [0,1], e.g. '1/2'"})]),
+    "symcoords": ("elementary symmetric coordinates, both directions", _cmd_symcoords, [
+        ("--points", {"help": "JSON list of {re, im} points"}),
+        ("--sigma", {"help": "JSON list of {re, im} coordinates"}),
+        ("--n", {"type": int, "help": "expected size, validated when given"}),
+        ("--max-degree", {"type": int,
+                          "help": "refuse a --sigma of higher degree (default: ROOTS_LIMIT)"})]),
+    "verify": ("run the regression suite", _cmd_verify, [
+        ("--seed", {"type": int, "default": 20250810}),
+        ("--fiber-samples", {"type": int, "default": 500}),
+        ("--sym-samples", {"type": int, "default": 200})]),
+}
+
+
+def _build_parser(verb=None) -> argparse.ArgumentParser:
+    """The parser with the subparser of `verb` only, or of all nine when `verb`
+    names none (help, no verb, an unknown verb)."""
     parser = argparse.ArgumentParser(
         prog="gldual",
         description="Exact invariants of the smooth dual of p-adic GL(n).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def with_limit(p, what):
-        # default None: the handler then leaves the library's own limit in force
-        p.add_argument("--max-degree", type=int, help=what)
-        return p
-
-    def with_component(p, limit="default: STRATA_LIMIT"):
-        p.add_argument("--component", required=True,
-                       help="component JSON, @file, or exponent shorthand like '(2,1)'")
-        return with_limit(p, "refuse a component of higher degree (%s)" % limit)
-
-    p = with_component(sub.add_parser("strata", help="extended-quotient strata"))
-    p.set_defaults(handler=_cmd_strata)
-    p = with_component(sub.add_parser("orbits", help="parameter orbits over a component"))
-    p.set_defaults(handler=_cmd_orbits)
-    p = with_component(sub.add_parser("hp", help="periodic cyclic homology dimensions"),
-                       "default: STRATA_LIMIT; never above HP_LIMIT")
-    p.set_defaults(handler=_cmd_hp)
-
-    p = sub.add_parser("project", help="apply the q-projection to a stratum point")
-    p.add_argument("--point", help="stratum point JSON or @file")
-    p.add_argument("--component", help="shorthand alternative to --point")
-    p.add_argument("--cycle", help="cycle type shorthand, e.g. '(2,1)'")
-    p.add_argument("--coords", help="coordinates shorthand, e.g. '{q,1}'")
-    p.add_argument("--q", type=float, help="also evaluate the image at this numeric q")
-    with_limit(p, "refuse a component of higher degree (default: STRATA_LIMIT)")
-    p.set_defaults(handler=_cmd_project)
-
-    p = sub.add_parser("fiber", help="enumerate a q-projection fiber")
-    p.add_argument("--component", required=True)
-    p.add_argument("--point", required=True,
-                   help="quotient point JSON, @file, or shorthand like '{q^-1,1,q}'")
-    with_limit(p, "refuse a component of higher degree (default: FIBER_LIMIT)")
-    p.set_defaults(handler=_cmd_fiber)
-
-    p = sub.add_parser("temper", help="retract onto the tempered locus")
-    p.add_argument("--input", required=True, help="parameter or stratum point JSON")
-    p.set_defaults(handler=_cmd_temper)
-
-    p = sub.add_parser("homotopy", help="evaluate the tempering homotopy")
-    p.add_argument("--input", required=True, help="parameter or stratum point JSON")
-    p.add_argument("--t", required=True, help="rational time in [0,1], e.g. '1/2'")
-    p.set_defaults(handler=_cmd_homotopy)
-
-    p = sub.add_parser("symcoords", help="elementary symmetric coordinates, both directions")
-    p.add_argument("--points", help="JSON list of {re, im} points")
-    p.add_argument("--sigma", help="JSON list of {re, im} coordinates")
-    p.add_argument("--n", type=int, help="expected size, validated when given")
-    with_limit(p, "refuse a --sigma of higher degree (default: ROOTS_LIMIT)")
-    p.set_defaults(handler=_cmd_symcoords)
-
-    p = sub.add_parser("verify", help="run the regression suite")
-    p.add_argument("--seed", type=int, default=20250810)
-    p.add_argument("--fiber-samples", type=int, default=500)
-    p.add_argument("--sym-samples", type=int, default=200)
-    p.set_defaults(handler=_cmd_verify)
-
+    for name in [verb] if verb in _VERBS else _VERBS:
+        summary, _, arguments = _VERBS[name]
+        p = sub.add_parser(name, help=summary)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -330,8 +321,9 @@ def _emit_error(kind: str, exc) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):  # --help and friends
             return 0
@@ -340,7 +332,7 @@ def main(argv=None) -> int:
     try:
         if (getattr(args, "max_degree", None) or 0) < 0:
             raise ValueError("--max-degree must be nonnegative, got %d" % args.max_degree)
-        code, report = args.handler(args)
+        code, report = _VERBS[args.command][1](args)
         text = _dumps(report)
     except LimitExceeded as exc:
         _emit_error("limit", exc)

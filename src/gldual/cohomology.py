@@ -99,20 +99,6 @@ class PermutationAction(Value):
         return sum(self.blocks)
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _cycle_factor(alpha: int) -> list:
-    # det(I + t*C) for a cyclic permutation matrix of size alpha: 1 - (-t)^alpha
-    return [1] + [0] * (alpha - 1) + [1 if alpha % 2 else -1]
-
-
 def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
     """Graded dimensions of the group-invariant exterior algebra.
 
@@ -128,7 +114,9 @@ def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
         for lam in cycle_types:
             weight /= centralizer_order(lam)
             for alpha in lam:
-                poly = _poly_mul(poly, _cycle_factor(alpha))
+                # times det(I + t*C) = 1 - (-t)^alpha, C a cyclic permutation of size alpha
+                poly = [a - (-1) ** alpha * b
+                        for a, b in zip(poly + [0] * alpha, [0] * alpha + poly)]
         for p, c in enumerate(poly):
             total[p] += weight * c
     coeffs = []

@@ -33,14 +33,6 @@ __all__ = [
 ]
 
 
-def _trusted(cls, **fields):
-    """An instance of the value class `cls` with `fields` set as given, unchecked."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        set_field(obj, name, value)
-    return obj
-
-
 class WeilLabel(Value):
     """Opaque name for an irreducible Weil representation.
 
@@ -151,7 +143,7 @@ class OrbitDescriptor(Value):
     order (by `InertialClass.key()`) and check them: at least one, positive
     multiplicities, pairwise distinct, consistent labels.  Only the strata walk
     of `gldual.bernstein`, whose output meets all of this by construction,
-    skips the checks, through `_trusted`.
+    skips the checks, through `_value._trusted`.
     """
 
     _fields = ("classes",)
