@@ -7,18 +7,22 @@ blockwise union of the strings of its coordinates.  A fiber point is thus a
 Zelevinsky multisegment: on each q-line (turn, q_exp mod q_scale) of a block
 its strings are integer segments covering the query's counts exactly.  One
 output-sensitive walk over the occupied positions enumerates them, and their
-cycle types sort them into strata.  All comparisons are exact QScalar
-equality, so query points must be exact (floats are rejected, never snapped).
+cycle types sort them into strata.  The walk runs on integers alone: each
+occupied cell is keyed by the integers of its block, turn, q-line and
+position, and strings sort by the rank of their lowest cell, so it does no
+rational arithmetic and compares no scalar; each distinct string's scalar is
+built once, for the output.  Cells match by exact equality, so query points
+must be exact (floats are rejected, never snapped).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from ._value import Value, set_field
+from ._value import Value, _trusted, set_field
 from .bernstein import STRATA_LIMIT, Component, CycleType, Stratum, _check_degree
 from .scalars import QScalar
 
@@ -175,30 +179,67 @@ def fiber(
             )
     _check_degree(component, max_degree, "the fiber limit")
 
-    # An element sits at position q_exp // q_scale of its block's q-line (turn,
-    # q_exp mod q_scale).  Only occupied cells are kept, so no q-string crosses a gap.
-    elements = sorted((i, z.turn, z.q_exp % b.q_scale, z.q_exp // b.q_scale)
-                      for i, (b, mset) in enumerate(zip(component.blocks, point.blocks))
-                      for z in mset)
-    cells = [cell for cell, _ in itertools.groupby(elements)]
-    counts = [len(list(run)) for _, run in itertools.groupby(elements)]
-    joined = [a[:3] == b[:3] and a[3] + 1 == b[3] for a, b in zip(cells, cells[1:])]
+    # An element z of block i with scale s sits at `position` on the q-line
+    # (i, turn, offset/d) of its block, where q_exp/s = position + offset/d in
+    # lowest terms; a cell keys all of these as integers.  Only occupied cells
+    # are kept, so no q-string crosses a gap.  The blocks of a SymPoint are
+    # sorted, so the cells first occur in (block, q_exp, turn) order: their rank.
+    first: dict[tuple[int, ...], QScalar] = {}
+    tally: dict[tuple[int, ...], int] = {}
+    for i, (block, mset) in enumerate(zip(component.blocks, point.blocks)):
+        num, den = block.q_scale.numerator, block.q_scale.denominator
+        for z in mset:
+            n, d = z.q_exp.numerator * den, z.q_exp.denominator * num
+            g = math.gcd(n, d)
+            position, offset = divmod(n // g, d // g)
+            cell = (i, z.turn.numerator, z.turn.denominator, offset, d // g, position)
+            first.setdefault(cell, z)
+            tally[cell] = tally.get(cell, 0) + 1
+    ranked = list(first)
+    rank = {cell: r for r, cell in enumerate(ranked)}
+    cells = sorted(tally)
+    counts = [tally[cell] for cell in cells]
+    joined = [a[:5] == b[:5] and a[5] + 1 == b[5] for a, b in zip(cells, cells[1:])]
 
+    # The strings of one block and length differ from their lowest cells by one
+    # common factor q^(s(L-1)/2), so they sort as (block, -L, rank of that cell)
+    # and each coordinate tuple of a stratum sorts as its tuple of ranks.
     @functools.cache
-    def string(start: int, length: int) -> tuple[int, int, QScalar]:
-        i, turn, offset, position = cells[start]
-        center = offset + component.blocks[i].q_scale * (position + Fraction(length - 1, 2))
-        return i, -length, QScalar(center, turn)
+    def string(segment: tuple[int, int]) -> tuple[int, int, int]:
+        start, length = segment
+        cell = cells[start]
+        return cell[0], -length, rank[cell]
 
-    found: dict[tuple[tuple[int, ...], ...], list[tuple[QScalar, ...]]] = {}
+    # a cover's shape, its blocks and negated lengths in sorted order, names its stratum
+    found: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
     for cover in _covers(counts, joined):
-        strings = sorted(string(*s) for s in cover)  # blockwise in canonical order
-        cycle_type = tuple(tuple(-n for j, n, _ in strings if j == i)
-                           for i in range(len(component.blocks)))
-        found.setdefault(cycle_type, []).append(tuple(z for _, _, z in strings))
-    # cycle types in lexicographic order are the strata in enumeration order
-    strata = {ct: Stratum(component, CycleType(ct)) for ct in sorted(found)}
-    return [StratumPoint(s, coords) for ct, s in strata.items() for coords in sorted(found[ct])]
+        blocks, negated, ranks = zip(*sorted(map(string, cover)))
+        found.setdefault((blocks, negated), []).append(ranks)
+
+    # One scalar per distinct string: a string's coordinate is its center, its
+    # lowest cell's scalar times q^(s(L-1)/2); already canonical, so unchecked.
+    @functools.cache
+    def coordinate(r: int, length: int) -> QScalar:
+        z = first[ranked[r]]
+        if length == 1:
+            return z
+        scale = component.blocks[ranked[r][0]].q_scale
+        return _trusted(QScalar, q_exp=z.q_exp + scale * Fraction(length - 1, 2), turn=z.turn)
+
+    # cycle types in lexicographic order are the strata in enumeration order;
+    # the coordinates come out blockwise, by descending length, then ascending
+    shapes = {tuple(tuple(-n for j, n in zip(*shape) if j == i)
+                    for i in range(len(component.blocks))): shape for shape in found}
+    points = []
+    for ct in sorted(shapes):
+        shape = shapes[ct]
+        stratum = _trusted(Stratum, component=component,
+                           cycle_type=_trusted(CycleType, parts_per_block=ct))
+        lengths = [-n for n in shape[1]]
+        points.extend(_trusted(StratumPoint, stratum=stratum,
+                               coords=tuple(map(coordinate, ranks, lengths)))
+                      for ranks in sorted(found[shape]))
+    return points
 
 
 def verify_section(point: StratumPoint) -> bool:

@@ -261,18 +261,18 @@ _scalars = st.builds(QScalar, st.integers(-6, 6).map(lambda k: F(k, 2)),
 
 
 @st.composite
-def _fiber_queries(draw):
+def _fiber_queries(draw, scales=_SCALES, scalars=_scalars):
     exponents = draw(st.sampled_from(_COMPOSITIONS))
-    component = Component(tuple(Block("b%d" % i, e, draw(st.sampled_from(_SCALES)))
+    component = Component(tuple(Block("b%d" % i, e, draw(st.sampled_from(scales)))
                                 for i, e in enumerate(exponents)))
     if draw(st.booleans()):
         # the image of a stratum point, so that deep fibers occur
         s = Stratum(component, CycleType(tuple(
             draw(st.sampled_from(list(partitions(e)))) for e in exponents)))
-        coords = draw(st.lists(_scalars, min_size=s.torus_rank, max_size=s.torus_rank))
+        coords = draw(st.lists(scalars, min_size=s.torus_rank, max_size=s.torus_rank))
         return component, project(StratumPoint(s, tuple(coords)))
     return component, SymPoint(tuple(
-        tuple(draw(st.lists(_scalars, min_size=e, max_size=e))) for e in exponents))
+        tuple(draw(st.lists(scalars, min_size=e, max_size=e))) for e in exponents))
 
 
 @settings(max_examples=200, deadline=None)
@@ -303,3 +303,55 @@ def test_sparse_query_stays_sparse():
     points = fiber(y, C2)
     assert time.perf_counter() - t0 < 1.0
     assert points == [StratumPoint(stratum(C2, (1, 1)), (q_power(-10**20), q_power(10**20)))]
+
+
+# q-steps with a numerator or denominator other than 1, and exponents k/6 that
+# reduce against them in every way: q_exp / q_scale takes the lowest-terms
+# denominators 1, 2, 3, 4, 6, 9 and 18, and negative positions
+_WIDE_SCALES = (F(1, 3), F(2, 3), F(3, 2), F(3))
+_wide_scalars = st.builds(QScalar, st.integers(-12, 6).map(lambda k: F(k, 6)),
+                          st.sampled_from((F(0), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4))))
+
+
+def _assert_canonical(points):
+    """Each point equals the one the checked constructors make of its fields,
+    and each coordinate is a reduced QScalar."""
+    for p in points:
+        parts = p.stratum.cycle_type.parts_per_block
+        assert p.stratum == Stratum(p.stratum.component, CycleType(parts))
+        assert p == StratumPoint(p.stratum, p.coords)
+        for z in p.coords:
+            assert type(z) is QScalar
+            assert type(z.q_exp) is F and type(z.turn) is F
+            assert 0 <= z.turn < 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fiber_queries(_WIDE_SCALES, _wide_scalars))
+def test_fiber_equals_reference_on_wide_q_lines(query):
+    component, y = query
+    points = fiber(y, component)
+    assert points == fiber_reference(y, component)
+    _assert_canonical(points)
+
+
+def test_q_string_fiber_points_are_canonical():
+    points = fiber(SymPoint((q_string(12, ONE),)), Component.from_exponents((12,)))
+    assert len(points) == 2048
+    _assert_canonical(points)
+
+
+def test_fiber_search_compares_no_scalar(monkeypatch):
+    c = Component.from_exponents((8,))
+    y = SymPoint((q_string(8, unit(F(1, 3))),))
+    expected = fiber(y, c)
+
+    def refuse(self, other):
+        raise AssertionError("QScalar compared")
+
+    with monkeypatch.context() as patch:
+        for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+            patch.setattr(QScalar, name, refuse)
+        points = fiber(y, c)
+    assert len(points) == 2 ** 7
+    assert points == expected
