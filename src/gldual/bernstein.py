@@ -37,8 +37,8 @@ __all__ = [
     "orbit_stratum_bijection",
 ]
 
-# Default degree limit of the strata and orbit walks and of `project`; HP walks
-# nothing and takes it as its default only, under the ceiling HP_LIMIT.
+# Default degree limit of the strata and orbit walks; HP walks nothing and
+# takes it as its default only, under the ceiling HP_LIMIT.
 STRATA_LIMIT = 20
 
 
@@ -186,8 +186,8 @@ class Stratum(Value):
 
 
 def _check_degree(component: Component, limit: int, name: str = "the limit") -> None:
-    """Refuse a component of degree above `limit` with LimitExceeded: the one
-    degree guard of strata, orbits, HP, the q-projection and fibers."""
+    """Refuse a component of degree above `limit` with LimitExceeded: the one degree
+    guard of strata, orbits, HP and the fiber reference, and of `project`'s image."""
     if component.degree > limit:
         raise LimitExceeded("component degree %d exceeds %s %d" % (component.degree, name, limit))
 

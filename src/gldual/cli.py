@@ -12,7 +12,8 @@ so a process pays for its own verb only: `symcoords`, for one, loads neither
 the exact layers nor `fractions`.  Likewise a process builds the argparse
 subparser of its own verb only; help, no verb and an unknown verb build all
 nine.  A `--max-degree` left out is not passed on, and the library's own
-default limit applies.
+default limit applies.  `project` and `fiber` have no `--max-degree`: they
+are bounded by the size of their output, `qproj.OUTPUT_LIMIT` scalars.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _cmd_project(args) -> tuple[int, dict]:
     from .qproj import project
 
     point = _stratum_point_from_args(args)
-    image = project(point, **_limit(args))
+    image = project(point)
     report = {"point": point.to_json(), "image": image.to_json()}
     if args.q is not None:
         report["numeric"] = [[_complex_json(z.to_complex(args.q)) for z in block]
@@ -183,7 +184,7 @@ def _cmd_fiber(args) -> tuple[int, dict]:
 
     component = _parse_component(args.component)
     point = _parse_sym_point(args.point)
-    points = fiber(point, component, **_limit(args))
+    points = fiber(point, component)
     return 0, {
         "component": component.to_json(),
         "point": point.to_json(),
@@ -272,13 +273,11 @@ _VERBS = {
         ("--component", {"help": "shorthand alternative to --point"}),
         ("--cycle", {"help": "cycle type shorthand, e.g. '(2,1)'"}),
         ("--coords", {"help": "coordinates shorthand, e.g. '{q,1}'"}),
-        ("--q", {"type": float, "help": "also evaluate the image at this numeric q"}),
-        _STRATA_DEGREE]),
+        ("--q", {"type": float, "help": "also evaluate the image at this numeric q"})]),
     "fiber": ("enumerate a q-projection fiber", _cmd_fiber, [
-        ("--component", {"required": True}),
+        _COMPONENT,
         ("--point", {"required": True,
-                     "help": "quotient point JSON, @file, or shorthand like '{q^-1,1,q}'"}),
-        ("--max-degree", {"type": int, "help": _DEGREE % "FIBER_LIMIT"})]),
+                     "help": "quotient point JSON, @file, or shorthand like '{q^-1,1,q}'"})]),
     "temper": ("retract onto the tempered locus", _cmd_temper, [_CARRIER]),
     "homotopy": ("evaluate the tempering homotopy", _cmd_homotopy, [
         _CARRIER, ("--t", {"required": True, "help": "rational time in [0,1], e.g. '1/2'"})]),
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
         _emit_error("limit", exc)
         return 3
     except RecursionError:
-        # e.g. the partitions of 1200, one generator frame per unit part
+        # e.g. the partitions of 1200, or the cover walk of a fiber over 500 cells
         _emit_error("limit", "the request needs more recursion depth than the interpreter "
                              "allows (%d frames)" % sys.getrecursionlimit())
         return 3

@@ -13,6 +13,9 @@ position, and strings sort by the rank of their lowest cell, so it does no
 rational arithmetic and compares no scalar; each distinct string's scalar is
 built once, for the output.  Cells match by exact equality, so query points
 must be exact (floats are rejected, never snapped).
+
+Neither map returns more than OUTPUT_LIMIT scalars; `fiber` counts them cover by
+cover, and every branch of its walk (two frames per occupied cell) ends in a cover.
 """
 
 from __future__ import annotations
@@ -23,20 +26,21 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from ._value import Value, _trusted, set_field
-from .bernstein import STRATA_LIMIT, Component, CycleType, Stratum, _check_degree
+from .bernstein import Component, CycleType, Stratum, _check_degree
+from .errors import LimitExceeded
 from .scalars import QScalar
 
 __all__ = [
     "SymPoint",
     "StratumPoint",
-    "FIBER_LIMIT",
+    "OUTPUT_LIMIT",
     "q_string",
     "project",
     "fiber",
     "verify_section",
 ]
 
-FIBER_LIMIT = 12
+OUTPUT_LIMIT = 2**15  # scalars; a fiber of degree 12 holds at most 2,048 x 12 of them
 
 
 class SymPoint(Value):
@@ -102,24 +106,18 @@ def q_string(alpha: int, z: QScalar, scale: Fraction = Fraction(1)) -> tuple[QSc
     )
 
 
-def project(point: StratumPoint, max_degree: int = STRATA_LIMIT) -> SymPoint:
+def project(point: StratumPoint) -> SymPoint:
     """Apply the q-projection: blockwise union of the strings of the coordinates.
 
     The image has one scalar per unit of the component's degree, so a
-    component of degree above `max_degree` is refused with LimitExceeded.
+    component of degree above OUTPUT_LIMIT is refused with LimitExceeded.
     """
-    _check_degree(point.stratum.component, max_degree)
-    blocks_out = []
-    i = 0
-    for block, parts in zip(
-        point.stratum.component.blocks, point.stratum.cycle_type.parts_per_block
-    ):
-        elems: list[QScalar] = []
-        for alpha in parts:
-            elems.extend(q_string(alpha, point.coords[i], block.q_scale))
-            i += 1
-        blocks_out.append(tuple(elems))
-    return SymPoint(tuple(blocks_out))
+    component = point.stratum.component
+    _check_degree(component, OUTPUT_LIMIT, "the output limit")
+    coords = iter(point.coords)  # one per part, blockwise
+    return SymPoint(tuple(
+        tuple(z for alpha in parts for z in q_string(alpha, next(coords), block.q_scale))
+        for block, parts in zip(component.blocks, point.stratum.cycle_type.parts_per_block)))
 
 
 def _covers(counts: list[int], joined: list[bool]) -> Iterator[list[tuple[int, int]]]:
@@ -159,14 +157,13 @@ def _covers(counts: list[int], joined: list[bool]) -> Iterator[list[tuple[int, i
     return peel(0, [])
 
 
-def fiber(
-    point: SymPoint, component: Component, max_degree: int = FIBER_LIMIT
-) -> list[StratumPoint]:
+def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
     """The complete q-projection preimage of `point`, over all strata.
 
     Empty when the point is outside the image; points are returned in
     canonical order (strata in enumeration order, coordinates sorted within
-    each stratum) and are pairwise distinct.
+    each stratum) and are pairwise distinct.  A preimage of more than
+    OUTPUT_LIMIT coordinates in all is refused with LimitExceeded.
     """
     if len(point.blocks) != len(component.blocks):
         raise ValueError("point has %d blocks, component has %d"
@@ -177,7 +174,6 @@ def fiber(
                 "block %r expects a multiset of size %d, got %d"
                 % (block.label, block.exponent, len(mset))
             )
-    _check_degree(component, max_degree, "the fiber limit")
 
     # An element z of block i with scale s sits at `position` on the q-line
     # (i, turn, offset/d) of its block, where q_exp/s = position + offset/d in
@@ -212,7 +208,11 @@ def fiber(
 
     # a cover's shape, its blocks and negated lengths in sorted order, names its stratum
     found: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
+    size = 0
     for cover in _covers(counts, joined):
+        size += len(cover)
+        if size > OUTPUT_LIMIT:
+            raise LimitExceeded("the fiber exceeds the output limit %d" % OUTPUT_LIMIT)
         blocks, negated, ranks = zip(*sorted(map(string, cover)))
         found.setdefault((blocks, negated), []).append(ranks)
 

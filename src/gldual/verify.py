@@ -22,12 +22,13 @@ from fractions import Fraction
 
 from . import retract
 from ._value import Value, set_field
-from .bernstein import Component, CycleType, Stratum, enumerate_strata, orbit_stratum_bijection
+from .bernstein import Component, CycleType, Stratum, _check_degree, enumerate_strata, \
+    orbit_stratum_bijection
 from .cohomology import PermutationAction, component_hp, invariant_exterior_dims, \
     orbit_hp_dimension, orbit_poincare, stratum_poincare, tempered_orbit_poincare
 from .parameters import LParameter, orbit_of
 from .partitions import multipartitions
-from .qproj import FIBER_LIMIT, StratumPoint, SymPoint, fiber, project
+from .qproj import StratumPoint, SymPoint, fiber, project
 from .scalars import ONE, QScalar, q_power, unit
 from .symfun import from_sym_coords, match_multisets, to_sym_coords
 
@@ -39,6 +40,7 @@ __all__ = ["CheckResult", "fiber_reference", "hp_by_walks", "run_all"]
 SWEEP_TOTAL_MAX = 8
 SWEEP_MAX_BLOCKS = 3
 FIBER_TOTAL_MAX = 5
+REFERENCE_LIMIT = 12  # the degree bound of the brute-force fiber reference
 ROOT_SEPARATION = 1e-3  # least distance between two roots of a round-trip sample
 
 
@@ -75,8 +77,7 @@ def fiber_reference(point: SymPoint, component: Component) -> list[StratumPoint]
     assignment in the full cartesian product is kept iff its strings add up to
     the query multiset exactly.
     """
-    if component.degree > FIBER_LIMIT:
-        raise ValueError("degree above reference limit")
+    _check_degree(component, REFERENCE_LIMIT, "the reference limit")
 
     def strings(alpha, z, scale):
         return [z.q_shift(scale * (Fraction(alpha - 1, 2) - i)) for i in range(alpha)]

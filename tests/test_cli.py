@@ -1,16 +1,25 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gldual
 from gldual.cli import main, parse_scalar
 from gldual.partitions import partitions
 from gldual.scalars import ONE, QScalar
+
+
+SRC = str(Path(gldual.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv):
@@ -194,15 +203,55 @@ def test_project_refuses_a_component_above_its_degree_limit(capsys):
                               "--cycle", "(100000000)", "--coords", "{1}")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and report["error"] == {
-        "type": "limit", "message": "component degree 100000000 exceeds the limit 20"}
-    shorthand = ("project", "--component", "(3)", "--cycle", "(2,1)", "--coords", "{q,1}")
-    code, report, _ = run_cli(capsys, *shorthand, "--max-degree", "2")
-    assert code == 3 and report["error"]["type"] == "limit"
-    _, default, _ = run_cli(capsys, *shorthand)
-    code, raised, _ = run_cli(capsys, *shorthand, "--max-degree", "3")
-    assert code == 0 and raised == default
-    code, report, _ = run_cli(capsys, *shorthand, "--max-degree", "-1")
-    assert code == 2 and report["error"]["message"] == "--max-degree must be nonnegative, got -1"
+        "type": "limit", "message": "component degree 100000000 exceeds the output limit 32768"}
+    # above the degree limit of the strata walks, an image that fits answers
+    code, report, _ = run_cli(capsys, "project", "--component", "(21)", "--cycle", "(21)",
+                              "--coords", "{1}")
+    assert code == 0 and len(report["image"]["blocks"][0]) == 21
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--component", "(3)", "--cycle", "(2,1)", "--coords", "{q,1}"],
+    ["fiber", "--component", "(3)", "--point", "{q^-1,1,q}"]], ids=lambda argv: argv[0])
+def test_project_and_fiber_have_no_max_degree(capsys, argv):
+    code, report, _ = run_cli(capsys, *argv, "--max-degree", "3")
+    assert code == 2 and report["error"] == {"type": "validation", "message": "invalid arguments"}
+
+
+def test_a_fiber_above_the_output_limit_is_refused_at_once_in_bounded_memory():
+    # 75 copies of each of 20 consecutive q-powers: was enumerated until memory
+    # ran out (1.7 GB within two minutes).  The child's address space of 100 MB
+    # also bounds its resident memory.
+    point = "{%s}" % ",".join("q^%d" % (i % 20) for i in range(1500))
+    cap = 100 * 2**20
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gldual.cli", "fiber", "--component", "(1500)", "--point", point],
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3
+    assert _strict_json(proc.stdout)["error"] == {
+        "type": "limit", "message": "the fiber exceeds the output limit 32768"}
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("cells, code", [(100, 0), (500, 3)])
+def test_a_generic_fiber_answers_up_to_the_recursion_limit(capsys, cells, code):
+    # one point, one coordinate per cell; the cover walk recurses two frames a cell
+    point = "{%s}" % ",".join("e(%d/%d)" % (i, cells) for i in range(cells))
+    result = main(["fiber", "--component", "(%d)" % cells, "--point", point])
+    captured = capsys.readouterr()
+    assert result == code
+    report = _strict_json(captured.out)
+    if code == 0:
+        assert report["count"] == 1
+    else:
+        assert "more recursion depth than the interpreter allows" in report["error"]["message"]
+    assert "Traceback" not in captured.err
 
 
 def test_symcoords_sigma_refuses_a_degree_above_its_limit(capsys):

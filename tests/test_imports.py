@@ -87,7 +87,7 @@ SURFACE = {
                    "is_discrete_series", "is_supercuspidal", "is_tempered", "orbit_of",
                    "orbit_shape", "steinberg_parameter", "TRIVIAL"],
     "qproj": ["StratumPoint", "SymPoint", "fiber", "project", "q_string", "verify_section",
-              "FIBER_LIMIT"],
+              "OUTPUT_LIMIT"],
     "retract": ["homotopy", "homotopy_point", "temper_parameter", "temper_point"],
     "scalars": ["ONE", "QScalar", "q_power", "unit", "exact_int", "exact_rational",
                 "MAX_DECIMAL_EXPONENT"],

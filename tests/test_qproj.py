@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from gldual.bernstein import Block, Component, CycleType, Stratum, enumerate_strata
 from gldual.errors import LimitExceeded
 from gldual.partitions import part_multiplicities, partitions
-from gldual.qproj import StratumPoint, SymPoint, fiber, project, q_string, verify_section
+from gldual.qproj import OUTPUT_LIMIT, StratumPoint, SymPoint, fiber, project, q_string, \
+    verify_section
 from gldual.scalars import ONE, QScalar, q_power, unit
 from gldual.verify import fiber_reference
 
@@ -208,19 +209,26 @@ def test_fiber_size_bounded_by_set_partition_counts():
         assert len(fiber(y, component)) <= bound
 
 
-def test_fiber_degree_limit():
-    c = Component.from_exponents((13,))
-    y = SymPoint((tuple(q_power(i) for i in range(13)),))
-    with pytest.raises(LimitExceeded):
-        fiber(y, c)
+def _q_line(n):
+    return SymPoint((tuple(q_power(i) for i in range(n)),)), Component.from_exponents((n,))
+
+
+def test_fiber_output_limit():
+    # n consecutive q-powers have 2^(n-1) preimages, 2^(n-2)(n+1) coordinates in all
+    n = max(n for n in range(2, 40) if 2 ** (n - 2) * (n + 1) <= OUTPUT_LIMIT)
+    assert len(fiber(*_q_line(n))) == 2 ** (n - 1)
+    with pytest.raises(LimitExceeded, match="output limit"):
+        fiber(*_q_line(n + 1))
 
 
 def test_project_degree_limit():
+    # the image holds one scalar per unit of degree: refused above OUTPUT_LIMIT
     s = Stratum(Component.from_exponents((21,)), CycleType(((21,),)))
+    image = project(StratumPoint(s, (ONE,)))
+    assert image == SymPoint((tuple(q_power(i - 10) for i in range(21)),))
+    s = Stratum(Component.from_exponents((OUTPUT_LIMIT + 1,)), CycleType(((OUTPUT_LIMIT + 1,),)))
     with pytest.raises(LimitExceeded):
         project(StratumPoint(s, (ONE,)))
-    image = project(StratumPoint(s, (ONE,)), max_degree=21)
-    assert image == SymPoint((tuple(q_power(i - 10) for i in range(21)),))
 
 
 def test_stratum_point_canonicalization():

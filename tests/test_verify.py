@@ -2,10 +2,14 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 import gldual.partitions
 import gldual.qproj
 import gldual.scalars
 import gldual.verify as verify
+from gldual.bernstein import Component
+from gldual.errors import LimitExceeded
 from gldual.qproj import q_string
 
 
@@ -77,3 +81,12 @@ def test_check_results_report_budgets():
     result = verify.check_gl2_projection()
     assert result.budget == 0.001
     assert result.seconds < result.budget
+
+
+def test_fiber_reference_refuses_a_degree_above_its_limit():
+    # the brute force grows about 15x per degree: refused before any candidate is built
+    n = verify.REFERENCE_LIMIT + 1
+    component = Component.from_exponents((n,))
+    point = gldual.qproj.SymPoint((tuple(gldual.scalars.q_power(i) for i in range(n)),))
+    with pytest.raises(LimitExceeded, match="exceeds the reference limit 12"):
+        verify.fiber_reference(point, component)
