@@ -240,9 +240,7 @@ def enumerate_orbits(
     return _orbits_for(component, enumerate_strata(component, max_degree))
 
 
-def orbit_stratum_bijection(
-    component: Component, max_degree: int = STRATA_LIMIT
-) -> list[tuple[OrbitDescriptor, Stratum]]:
+def orbit_stratum_bijection(component: Component) -> list[tuple[OrbitDescriptor, Stratum]]:
     """Pair each orbit with the stratum arising from the same multipartition."""
-    strata = enumerate_strata(component, max_degree)
+    strata = enumerate_strata(component)
     return list(zip(_orbits_for(component, strata), strata))

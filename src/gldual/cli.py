@@ -1,11 +1,11 @@
 """Batch command-line interface: JSON in, JSON on stdout, diagnostics on stderr.
 
 Exit codes: 0 success, 1 failed `verify` regressions, 2 invalid input,
-3 refused resource limit (a size guard, or a request deeper than the
-interpreter's recursion limit).  Components and points are passed inline as JSON
-(or `@file`), with a compact shorthand for the common cases: a component
-`(2,1)` means unit blocks with those exponents, and a scalar multiset
-`{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`.
+3 refused resource limit (a degree guard, or a walk that would return more
+than `partitions.OUTPUT_LIMIT` items).  Components and points are passed
+inline as JSON (or `@file`), with a compact shorthand for the common cases: a
+component `(2,1)` means unit blocks with those exponents, and a scalar
+multiset `{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`.
 
 Each verb imports the modules it runs inside its handler and parse helpers,
 so a process pays for its own verb only: `symcoords`, for one, loads neither
@@ -13,7 +13,7 @@ the exact layers nor `fractions`.  Likewise a process builds the argparse
 subparser of its own verb only; help, no verb and an unknown verb build all
 nine.  A `--max-degree` left out is not passed on, and the library's own
 default limit applies.  `project` and `fiber` have no `--max-degree`: they
-are bounded by the size of their output, `qproj.OUTPUT_LIMIT` scalars.
+are bounded by the size of their output, `OUTPUT_LIMIT` scalars.
 """
 
 from __future__ import annotations
@@ -335,11 +335,6 @@ def main(argv=None) -> int:
         text = _dumps(report)
     except LimitExceeded as exc:
         _emit_error("limit", exc)
-        return 3
-    except RecursionError:
-        # e.g. the partitions of 1200, or the cover walk of a fiber over 500 cells
-        _emit_error("limit", "the request needs more recursion depth than the interpreter "
-                             "allows (%d frames)" % sys.getrecursionlimit())
         return 3
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RootFindingError) as exc:
         _emit_error("validation", exc)

@@ -22,7 +22,6 @@ of det(I + t * P_g) over each stratum's group.  In that average a cycle type
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from ._value import Value, set_field
 from .bernstein import STRATA_LIMIT, Component, Stratum, _check_degree
 from .errors import LimitExceeded
 from .parameters import OrbitDescriptor
-from .partitions import centralizer_order, overpartition_count, partitions
+from .partitions import centralizer_order, multipartitions, overpartition_count
 
 __all__ = [
     "PoincarePolynomial",
@@ -108,7 +107,7 @@ def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
     if action.rank > RANK_LIMIT:
         raise LimitExceeded("rank %d exceeds the limit %d" % (action.rank, RANK_LIMIT))
     total = [Fraction(0)] * (action.rank + 1)
-    for cycle_types in itertools.product(*map(partitions, action.blocks)):
+    for cycle_types in multipartitions(action.blocks):
         weight = Fraction(1)
         poly = [1]
         for lam in cycle_types:
@@ -139,10 +138,10 @@ def stratum_poincare(stratum: Stratum) -> PoincarePolynomial:
     return _binomial(len(stratum.residual_blocks()))
 
 
-def component_hp(component: Component, max_degree: int = STRATA_LIMIT) -> tuple[int, int]:
+def component_hp(component: Component) -> tuple[int, int]:
     """(HP_0, HP_1) dimensions for the component: the even and odd totals of
     its strata's cohomology, both equal to `orbit_hp_dimension`."""
-    d = orbit_hp_dimension(component, max_degree)
+    d = orbit_hp_dimension(component)
     return d, d
 
 

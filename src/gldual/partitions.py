@@ -16,31 +16,43 @@ import itertools
 import math
 from collections.abc import Iterator
 
+from .errors import LimitExceeded
+
+OUTPUT_LIMIT = 2**15  # the most partitions, multipartitions or fiber scalars a walk returns
+
 
 # one entry per n seen: at most 21 (n <= 20) at the default limits, holding the
 # same 2,713 partition tuples that part_multiplicities is keyed on; a raised
-# --max-degree keeps the p(n) tuples of every n it reaches
+# --max-degree keeps at most OUTPUT_LIMIT tuples for each n it reaches
 @functools.lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    """The partitions of n in canonical (lexicographic) order, built once per n."""
+    """The partitions of n in canonical (lexicographic) order, built once per n;
+    more than OUTPUT_LIMIT of them (n >= 40) are refused with LimitExceeded."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return tuple(_bounded(n, n))
+    walk = tuple(itertools.islice(_bounded(n, n), OUTPUT_LIMIT + 1))
+    if len(walk) > OUTPUT_LIMIT:
+        raise LimitExceeded("the partitions of %d exceed the output limit %d" % (n, OUTPUT_LIMIT))
+    return walk[::-1]
 
 
 def _bounded(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    # the partitions of n with every part at most max_part; one frame per part
+    # the partitions of n with parts at most max_part, reverse lexicographic: few parts first
     if n == 0:
         yield ()
-    for first in range(1, min(max_part, n) + 1):
+    for first in range(min(max_part, n), 0, -1):
         for rest in _bounded(n - first, first):
             yield (first,) + rest
 
 
 def multipartitions(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """An iterator over the tuples of one partition per entry of `sizes`,
-    lexicographic with the first entry major."""
-    return itertools.product(*map(partitions, sizes))
+    """An iterator over the tuples of one partition per entry of `sizes`, lexicographic
+    with the first entry major; more than OUTPUT_LIMIT are refused at the call."""
+    tables = tuple(map(partitions, sizes))
+    if (count := math.prod(map(len, tables))) > OUTPUT_LIMIT:
+        raise LimitExceeded("%d multipartitions exceed the output limit %d"
+                            % (count, OUTPUT_LIMIT))
+    return itertools.product(*tables)
 
 
 # one entry per partition seen: at most 2,713 (the sum of p(n), 1 <= n <= 20) at

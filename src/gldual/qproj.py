@@ -15,7 +15,7 @@ built once, for the output.  Cells match by exact equality, so query points
 must be exact (floats are rejected, never snapped).
 
 Neither map returns more than OUTPUT_LIMIT scalars; `fiber` counts them cover by
-cover, and every branch of its walk (two frames per occupied cell) ends in a cover.
+cover, and every branch of its walk, kept on an explicit stack, ends in a cover.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from fractions import Fraction
 from ._value import Value, _trusted, set_field
 from .bernstein import Component, CycleType, Stratum, _check_degree
 from .errors import LimitExceeded
+from .partitions import OUTPUT_LIMIT
 from .scalars import QScalar
 
 __all__ = [
@@ -39,9 +40,6 @@ __all__ = [
     "fiber",
     "verify_section",
 ]
-
-OUTPUT_LIMIT = 2**15  # scalars; a fiber of degree 12 holds at most 2,048 x 12 of them
-
 
 class SymPoint(Value):
     """A point of the ordinary quotient: one multiset of scalars per block, stored sorted."""
@@ -129,32 +127,40 @@ def _covers(counts: list[int], joined: list[bool]) -> Iterator[list[tuple[int, i
     peeled by choosing how many of those segments reach each next cell: never
     more than reached the cell before (segments from one start come in
     non-increasing length), nor more than is left there.  Every choice leaves
-    a coverable remainder, so every branch ends in a cover.
+    a coverable remainder, so every branch ends in a cover.  Each step yields
+    its child steps to a loop over an explicit stack, and a cover as the one
+    shared list `found`, which must be read before the next.
     """
     rem = list(counts)
+    found: list[tuple[int, int]] = []  # the segments of the branch, shared by every step
 
-    def peel(start: int, found: list):
+    def peel(start: int):
+        # the step from the lowest cell left, or `found` when the branch is a cover
         while start < len(rem) and rem[start] == 0:
             start += 1
-        if start == len(rem):
-            yield found
-        else:
-            yield from reach(start, 1, rem[start], found)
+        return reach(start, 1, rem[start]) if start < len(rem) else found
 
-    def reach(start: int, length: int, width: int, found: list):
-        # `width` segments from `start` are at least `length` long
+    def reach(start: int, length: int, width: int):
+        # a step: `width` segments from `start` are at least `length` long
         end = start + length - 1
         rem[end] -= width
         longer = min(width, rem[end + 1]) if end + 1 < len(rem) and joined[end] else 0
+        mark = len(found)
         for more in range(longer, -1, -1):
-            grown = found + [(start, length)] * (width - more)
-            if more:
-                yield from reach(start, length + 1, more, grown)
-            else:
-                yield from peel(start + 1, grown)
+            found.extend([(start, length)] * (width - more))
+            yield reach(start, length + 1, more) if more else peel(start + 1)
+            del found[mark:]
         rem[end] += width
 
-    return peel(0, [])
+    stack = [iter([peel(0)])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+        elif step is found:
+            yield found
+        else:
+            stack.append(step)
 
 
 def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:

@@ -13,7 +13,8 @@ from gldual.bernstein import (
 )
 from gldual.errors import LimitExceeded
 from gldual.parameters import OrbitDescriptor, orbit_shape
-from gldual.partitions import centralizer_order, part_multiplicities, partitions
+from gldual.partitions import OUTPUT_LIMIT, centralizer_order, multipartitions, \
+    part_multiplicities, partitions
 from gldual.verify import _compositions
 
 
@@ -36,6 +37,22 @@ def test_partition_enumeration_matches_independent_counter():
         for p in parts:
             assert sum(p) == n
             assert all(p[i] >= p[i + 1] for i in range(len(p) - 1))
+
+
+def test_partitions_are_bounded_by_the_output_limit():
+    # p(39) = 31,185 fits under OUTPUT_LIMIT, p(40) = 37,338 does not
+    assert len(partitions(39)) == partition_count(39) == 31185
+    assert list(partitions(39)) == sorted(partitions(39))
+    with pytest.raises(LimitExceeded, match="the partitions of 40 exceed the output limit"):
+        partitions(40)
+    assert partition_count(40) > OUTPUT_LIMIT
+
+
+def test_multipartitions_beyond_the_output_limit_are_refused_before_any_is_yielded():
+    assert len(list(multipartitions((4, 4, 4, 4, 4, 4)))) == 5 ** 6
+    with pytest.raises(LimitExceeded,
+                       match="31404816 multipartitions exceed the output limit 32768"):
+        multipartitions((30, 30))
 
 
 def test_centralizer_orders_sum_to_group_order():

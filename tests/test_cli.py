@@ -239,18 +239,19 @@ def test_a_fiber_above_the_output_limit_is_refused_at_once_in_bounded_memory():
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("cells, code", [(100, 0), (500, 3)])
-def test_a_generic_fiber_answers_up_to_the_recursion_limit(capsys, cells, code):
-    # one point, one coordinate per cell; the cover walk recurses two frames a cell
-    point = "{%s}" % ",".join("e(%d/%d)" % (i, cells) for i in range(cells))
-    result = main(["fiber", "--component", "(%d)" % cells, "--point", point])
+def _generic_fiber_argv(cells):
+    return ["fiber", "--component", "(%d)" % cells,
+            "--point", "{%s}" % ",".join("e(%d/%d)" % (i, cells) for i in range(cells))]
+
+
+@pytest.mark.parametrize("cells", [100, 500, 5000])
+def test_a_generic_fiber_answers_with_one_point(capsys, cells):
+    # one point, one coordinate per cell: 500 cells were a RecursionError,
+    # mapped to exit 3, when the cover walk recursed two frames a cell
+    result = main(_generic_fiber_argv(cells))
     captured = capsys.readouterr()
-    assert result == code
-    report = _strict_json(captured.out)
-    if code == 0:
-        assert report["count"] == 1
-    else:
-        assert "more recursion depth than the interpreter allows" in report["error"]["message"]
+    assert result == 0
+    assert _strict_json(captured.out)["count"] == 1
     assert "Traceback" not in captured.err
 
 
@@ -332,7 +333,7 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
     ["homotopy", "--t", "1e-1000000000", "--input", _phi({"id": "a"}, "0")],
     # a negative size guard: was reported as a limit refusal
     ["strata", "--component", "(3)", "--max-degree", "-1"],
-    ["fiber", "--component", "(2)", "--point", "{1,q}", "--max-degree", "-2"],
+    ["orbits", "--component", "(2)", "--max-degree", "-2"],
     # symcoords input: a boolean was read as 1, NaN/Infinity tokens were accepted
     *(["symcoords", flag, value] for flag in _SYMCOORDS_FLAGS for value in _SYMCOORDS_BAD.values()),
     # an unreadable @file: was a traceback with exit 1
@@ -355,7 +356,7 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
     *_NON_STRING_NAMES.values(),
 ], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
         "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
-        "negative-fiber-degree",
+        "negative-orbits-degree",
         *("symcoords-%s-%s" % (flag[2:], name) for flag in _SYMCOORDS_FLAGS
           for name in _SYMCOORDS_BAD),
         "missing-file", "directory-file", "underscore-exponent", "underscore-cycle-part",
@@ -484,10 +485,11 @@ def test_component_verbs_always_answer_in_json(verb, tokens, max_degree):
 
 
 @pytest.mark.parametrize("verb", ["strata", "orbits"])
-@pytest.mark.parametrize("component", ["(1200)", "(1100,100)"])
+@pytest.mark.parametrize("component", ["(1200)", "(1100,100)", "(900)", "(30,30)"])
 def test_partition_walk_deeper_than_the_interpreter_is_a_limit(capsys, verb, component):
-    # the first partition of 1200 is all ones, one generator frame per part:
-    # was a RecursionError traceback with exit 1
+    # more partitions or multipartitions than OUTPUT_LIMIT: (1200) and (1100,100)
+    # were refused by the interpreter's recursion limit, (900) and (30,30) ran
+    # without bound; the walk now stops after OUTPUT_LIMIT + 1 items, a few frames deep
     start = time.perf_counter()
     code = main([verb, "--component", component, "--max-degree", "1200"])
     elapsed = time.perf_counter() - start
@@ -495,9 +497,37 @@ def test_partition_walk_deeper_than_the_interpreter_is_a_limit(capsys, verb, com
     assert code == 3
     error = _strict_json(captured.out)["error"]
     assert error["type"] == "limit"
-    assert "more recursion depth than the interpreter allows" in error["message"]
+    assert "exceed the output limit 32768" in error["message"]
     assert "Traceback" not in captured.err
     assert elapsed < 1.0
+
+
+# every walk reproducer, and its exit code, whatever stack the caller leaves
+_WALKS = [
+    *(([verb, "--component", component, "--max-degree", "1200"], 3)
+      for verb in ("strata", "orbits") for component in ("(1200)", "(1100,100)", "(900)")),
+    (["orbits", "--component", "(30,30)", "--max-degree", "60"], 3),
+    (["fiber", "--component", "(1500)",
+      "--point", "{%s}" % ",".join("q^%d" % (i % 20) for i in range(1500))], 3),
+    (_generic_fiber_argv(500), 0),
+    (_generic_fiber_argv(5000), 0),
+]
+
+
+def test_no_exit_code_depends_on_the_recursion_limit(capsys):
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    try:
+        runs = [(main(argv), capsys.readouterr().out) for argv, _ in _WALKS]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [code for code, _ in runs] == [code for _, code in _WALKS]
+    for _, out in runs:
+        _strict_json(out)
 
 
 @pytest.mark.parametrize("component, max_degree", [

@@ -221,6 +221,17 @@ def test_fiber_output_limit():
         fiber(*_q_line(n + 1))
 
 
+def test_a_generic_fiber_walk_is_linear_in_its_cells():
+    # 32,000 distinct unit roots, one cell each: one point, no recursion
+    cells = 32000
+    point = SymPoint((tuple(unit(F(i, cells)) for i in range(cells)),))
+    start = time.perf_counter()
+    (found,) = fiber(point, Component.from_exponents((cells,)))
+    assert time.perf_counter() - start < 2.0
+    assert found.stratum.cycle_type.parts_per_block == ((1,) * cells,)
+    assert sorted(found.coords) == list(point.blocks[0])
+
+
 def test_project_degree_limit():
     # the image holds one scalar per unit of degree: refused above OUTPUT_LIMIT
     s = Stratum(Component.from_exponents((21,)), CycleType(((21,),)))
