@@ -4,9 +4,9 @@ Partitions are weakly decreasing tuples of positive integers.  The canonical
 enumeration order used everywhere in this package is plain lexicographic
 order on those tuples, e.g. for n = 3: (1,1,1) < (2,1) < (3).  The partitions
 of n are one memoised tuple per n, read by strata, orbits and Molien averages
-alike; runs of equal parts are read off `part_multiplicities` alone.  The
-overpartition counts, which give the HP dimensions in closed form, come from
-one growing table and enumerate nothing.
+alike; runs of equal parts are read off `part_multiplicities` alone.  Two
+count tables enumerate nothing: p(n) refuses a walk past OUTPUT_LIMIT before
+it starts, and the overpartition counts give the HP dimensions in closed form.
 """
 
 from __future__ import annotations
@@ -20,43 +20,59 @@ from .errors import LimitExceeded
 
 OUTPUT_LIMIT = 2**15  # the most partitions, multipartitions or fiber scalars a walk returns
 
+# p(0), ..., p(39): every count up to OUTPUT_LIMIT (p(40) = 37,338 is the first
+# above it), filled at the first call; no n asked about grows it
+_PARTITIONS: list[int] = []
 
-# one entry per n seen: at most 21 (n <= 20) at the default limits, holding the
-# same 2,713 partition tuples that part_multiplicities is keyed on; a raised
-# --max-degree keeps at most OUTPUT_LIMIT tuples for each n it reaches
+
+def _count(n: int) -> int:
+    """p(n), from Euler's pentagonal number theorem: for n >= 1,
+    p(n) = sum_{k >= 1} (-1)^(k+1) (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
+    More than OUTPUT_LIMIT (n >= 40) is refused with LimitExceeded."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if not _PARTITIONS:
+        table, total = [], 1
+        while total <= OUTPUT_LIMIT:
+            table.append(total)
+            m = len(table)
+            total = sum(table[m - g] if k % 2 else -table[m - g] for k in range(1, m + 1)
+                        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= m)
+        _PARTITIONS[:] = table
+    if n >= len(_PARTITIONS):
+        raise LimitExceeded("the partitions of %d exceed the output limit %d" % (n, OUTPUT_LIMIT))
+    return _PARTITIONS[n]
+
+
+# one entry per n walked: at most 21 (n <= 20) at the default limits, and at most
+# 40 (n <= 39) whatever --max-degree says, since a larger n is refused by its count
 @functools.lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """The partitions of n in canonical (lexicographic) order, built once per n;
-    more than OUTPUT_LIMIT of them (n >= 40) are refused with LimitExceeded."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    walk = tuple(itertools.islice(_bounded(n, n), OUTPUT_LIMIT + 1))
-    if len(walk) > OUTPUT_LIMIT:
-        raise LimitExceeded("the partitions of %d exceed the output limit %d" % (n, OUTPUT_LIMIT))
-    return walk[::-1]
+    more than OUTPUT_LIMIT of them (n >= 40) are refused before the walk, which stops at p(n)."""
+    return tuple(itertools.islice(_bounded(n, n), _count(n)))
 
 
 def _bounded(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    # the partitions of n with parts at most max_part, reverse lexicographic: few parts first
+    # the partitions of n with parts at most max_part, lexicographic: first part ascending
     if n == 0:
         yield ()
-    for first in range(min(max_part, n), 0, -1):
+    for first in range(1, min(max_part, n) + 1):
         for rest in _bounded(n - first, first):
             yield (first,) + rest
 
 
 def multipartitions(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """An iterator over the tuples of one partition per entry of `sizes`, lexicographic
-    with the first entry major; more than OUTPUT_LIMIT are refused at the call."""
-    tables = tuple(map(partitions, sizes))
-    if (count := math.prod(map(len, tables))) > OUTPUT_LIMIT:
+    with the first entry major; more than OUTPUT_LIMIT are refused by count, before building."""
+    if (count := math.prod(map(_count, sizes))) > OUTPUT_LIMIT:
         raise LimitExceeded("%d multipartitions exceed the output limit %d"
                             % (count, OUTPUT_LIMIT))
-    return itertools.product(*tables)
+    return itertools.product(*map(partitions, sizes))
 
 
-# one entry per partition seen: at most 2,713 (the sum of p(n), 1 <= n <= 20) at
-# the default limits; a raised --max-degree keeps more
+# one entry per partition seen: the walks reach at most 2,713 (the sum of p(n),
+# 1 <= n <= 20) at the default limits, and 177,969 (n <= 39) under any --max-degree
 @functools.lru_cache(maxsize=None)
 def part_multiplicities(partition: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(part, multiplicity) pairs of a partition, parts in decreasing order."""

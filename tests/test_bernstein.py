@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gldual.partitions
 from gldual.bernstein import (
     Block,
     Component,
@@ -53,6 +54,34 @@ def test_multipartitions_beyond_the_output_limit_are_refused_before_any_is_yield
     with pytest.raises(LimitExceeded,
                        match="31404816 multipartitions exceed the output limit 32768"):
         multipartitions((30, 30))
+
+
+def test_partition_counts_are_filled_up_to_the_output_limit_only():
+    assert gldual.partitions._count(39) == 31185
+    assert gldual.partitions._PARTITIONS == [partition_count(n) for n in range(40)]
+    with pytest.raises(LimitExceeded):
+        gldual.partitions._count(10 ** 8)
+    assert len(gldual.partitions._PARTITIONS) == 40
+
+
+def test_refused_multipartitions_build_no_partition_table():
+    partitions.cache_clear()
+    with pytest.raises(LimitExceeded, match="31404816 multipartitions exceed"):
+        multipartitions((30, 30))
+    assert partitions.cache_info().currsize == 0
+
+
+def test_refusals_far_past_the_output_limit_walk_nothing(monkeypatch):
+    def walk(n, max_part):
+        raise AssertionError("walked the partitions of %d" % n)
+        yield
+
+    monkeypatch.setattr(gldual.partitions, "_bounded", walk)
+    for call, n in [(lambda: partitions(10 ** 8), 10 ** 8),
+                    (lambda: multipartitions((1200,)), 1200)]:
+        with pytest.raises(LimitExceeded) as refusal:
+            call()
+        assert str(refusal.value) == "the partitions of %d exceed the output limit 32768" % n
 
 
 def test_centralizer_orders_sum_to_group_order():

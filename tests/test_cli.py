@@ -305,6 +305,17 @@ _NON_STRING_NAMES = {
     "label-bool": ["hp", "--component", '{"blocks": [{"label": true, "exponent": 1}]}'],
     "label-list": ["hp", "--component", '{"blocks": [{"label": ["a"], "exponent": 1}]}'],
 }
+_TWO_BLOCKS = '{"blocks": [{"label": "a", "exponent": 1}, {"label": "b", "exponent": 1}]}'
+_MISMATCHED_ARGS = {
+    "project-component-only": ["project", "--component", "(3)"],
+    "project-cycle-two-blocks": ["project", "--component", "(2,1)", "--cycle", "(2)",
+                                 "--coords", "{q}"],
+    "symcoords-points-n-too-large": ["symcoords", "--points", '[{"re": 2}, {"re": 3}]',
+                                     "--n", "3"],
+    "symcoords-sigma-n-too-large": ["symcoords", "--sigma", '[{"re": 5}, {"re": 6}]',
+                                    "--n", "3"],
+    "fiber-block-count": ["fiber", "--component", _TWO_BLOCKS, "--point", "{1}"],
+}
 _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
                    (["project"], "--point"), (["temper"], "--input"),
                    (["homotopy", "--t", "1/2"], "--input"), (["symcoords"], "--points"),
@@ -354,6 +365,8 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
     # labels and ids that are not strings: were echoed as given, or refused by
     # the comparison or the hash that first met them
     *_NON_STRING_NAMES.values(),
+    # argument combinations that only the verbs themselves refuse
+    *_MISMATCHED_ARGS.values(),
 ], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
         "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
         "negative-orbits-degree",
@@ -364,7 +377,7 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
         "underscore-shorthand-q-exp",
         *("deep-json-%s-%s" % (verb[0], flag[2:]) for verb, flag in _DEEP_JSON_ARGS),
         *("%s-rho-%s" % (verb[0], name) for verb in _CARRIER_VERBS for name in _RHO_BAD),
-        *_NON_STRING_NAMES])
+        *_NON_STRING_NAMES, *_MISMATCHED_ARGS])
 def test_boundary_inputs_are_validation_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -485,13 +498,17 @@ def test_component_verbs_always_answer_in_json(verb, tokens, max_degree):
 
 
 @pytest.mark.parametrize("verb", ["strata", "orbits"])
-@pytest.mark.parametrize("component", ["(1200)", "(1100,100)", "(900)", "(30,30)"])
-def test_partition_walk_deeper_than_the_interpreter_is_a_limit(capsys, verb, component):
+@pytest.mark.parametrize("component, max_degree", [
+    pytest.param(component, max_degree, id=component) for component, max_degree in [
+        ("(1200)", "1200"), ("(1100,100)", "1200"), ("(900)", "1200"), ("(30,30)", "1200"),
+        ("(100000000)", "100000000")]])
+def test_partition_walk_deeper_than_the_interpreter_is_a_limit(capsys, verb, component,
+                                                               max_degree):
     # more partitions or multipartitions than OUTPUT_LIMIT: (1200) and (1100,100)
     # were refused by the interpreter's recursion limit, (900) and (30,30) ran
-    # without bound; the walk now stops after OUTPUT_LIMIT + 1 items, a few frames deep
+    # without bound; each is now refused by its count before any partition is built
     start = time.perf_counter()
-    code = main([verb, "--component", component, "--max-degree", "1200"])
+    code = main([verb, "--component", component, "--max-degree", max_degree])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 3
@@ -507,6 +524,8 @@ _WALKS = [
     *(([verb, "--component", component, "--max-degree", "1200"], 3)
       for verb in ("strata", "orbits") for component in ("(1200)", "(1100,100)", "(900)")),
     (["orbits", "--component", "(30,30)", "--max-degree", "60"], 3),
+    *(([verb, "--component", "(100000000)", "--max-degree", "100000000"], 3)
+      for verb in ("strata", "orbits")),
     (["fiber", "--component", "(1500)",
       "--point", "{%s}" % ",".join("q^%d" % (i % 20) for i in range(1500))], 3),
     (_generic_fiber_argv(500), 0),

@@ -207,6 +207,19 @@ def test_exact_multiple_roots_come_back_exactly():
     assert from_sym_coords(to_sym_coords([0.5j] * 3 + [1] * 3)) == (0.5j,) * 3 + (1 + 0j,) * 3
 
 
+def test_exact_newton_ratio_is_none_where_only_the_derivative_vanishes():
+    # x^2 + 1 at 0: p = 1, p' = 0
+    assert gldual.aberth._Polynomial([1.0, 0.0, 1.0], 0).newton(0j) is None
+
+
+@pytest.mark.parametrize("s, w", [(0, 2 + 0j), (2, 0.5 + 0j)])
+def test_exact_multiplicity_test_stops_at_the_first_remainder(s, w):
+    # (x-2)^2 (x-3), with z = 2**s * w = 2 a root of multiplicity exactly 2
+    cubic = gldual.aberth._Polynomial([1.0, -7.0, 16.0, -12.0], s)
+    assert cubic.has_root(w, 2)
+    assert not cubic.has_root(w, 3)
+
+
 # --- parity with mpmath.polyroots, the root finder of earlier versions -------------------
 
 
