@@ -2,10 +2,12 @@
 
 A subclass lists its fields in `_fields` and writes its own `__init__`, which
 checks the arguments and stores each field with `set_field`.  Code whose
-output is valid by construction skips that check through `_trusted`.  The
-methods derived here compare and hash the tuple of those fields; they are
-closures over one `operator.attrgetter` per class, so defining a class
-generates and compiles no code.
+output is valid by construction skips that check through `_trusted`: the
+strata and orbit walks, the fiber search, `parameters.orbit_of`, and the
+retraction and homotopy of a parameter.  The methods derived here compare
+and hash the tuple of those fields; they are closures over one
+`operator.attrgetter` per class, so defining a class generates and compiles
+no code.
 """
 
 from operator import attrgetter, ge, gt, le, lt

@@ -169,10 +169,12 @@ class Stratum(Value):
                      for _, mult in part_multiplicities(parts))
 
     def to_json(self) -> dict:
+        parts_per_block = self.cycle_type.parts_per_block
         return {
-            "cycle_type": [list(p) for p in self.cycle_type.parts_per_block],
+            "cycle_type": [list(p) for p in parts_per_block],
             "torus_rank": self.torus_rank,
-            "sym_factors": list(self.residual_blocks()),
+            "sym_factors": [mult for parts in parts_per_block  # `residual_blocks`
+                            for _, mult in part_multiplicities(parts)],
         }
 
     @classmethod

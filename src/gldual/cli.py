@@ -2,7 +2,11 @@
 
 Exit codes: 0 success, 1 failed `verify` regressions, 2 invalid input,
 3 refused resource limit (a degree guard, or a walk that would return more
-than `partitions.OUTPUT_LIMIT` items).  Components and points are passed
+than `partitions.OUTPUT_LIMIT` items), 4 an internal error.  Code 4 is the
+last resort: any other exception is reported as
+`{"error": {"type": "internal", ...}}`, never as a traceback, and never as
+code 1, which only `verify` returns.  No known input reaches it; one that
+does has found a fault of the program.  Components and points are passed
 inline as JSON (or `@file`), with a compact shorthand for the common cases: a
 component `(2,1)` means unit blocks with those exponents, and a scalar
 multiset `{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`.
@@ -339,6 +343,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RootFindingError) as exc:
         _emit_error("validation", exc)
         return 2
+    except Exception as exc:
+        _emit_error("internal", "%s: %s" % (type(exc).__name__, exc))
+        return 4
     sys.stdout.write(text)
     return code
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from ._value import Value, set_field
+from ._value import Value, _trusted, set_field
 from .scalars import ONE, QScalar, _fraction, exact_int, exact_rational
 
 __all__ = [
@@ -107,13 +107,24 @@ def _check_label_consistency(labels):
             raise ValueError("label %r used with inconsistent attributes" % rho.id)
 
 
+# the canonical orders of a parameter's (class, twist) summands and of an
+# orbit's (class, multiplicity) entries
+def _summand_key(summand):
+    cls, twist = summand
+    return cls.key(), twist.q_exp, twist.turn
+
+
+def _class_key(entry):
+    return entry[0].key()
+
+
 class LParameter(Value):
     """A twisted sum of inertial classes, kept in canonical (sorted) form."""
 
     _fields = ("summands",)
 
     def __init__(self, summands: tuple[tuple[InertialClass, QScalar], ...]):
-        summands = tuple(sorted(summands, key=lambda s: (s[0].key(), s[1].q_exp, s[1].turn)))
+        summands = tuple(sorted(summands, key=_summand_key))
         if not summands:
             raise ValueError("a parameter needs at least one summand")
         _check_label_consistency(cls.rho for cls, _ in summands)
@@ -139,17 +150,18 @@ class LParameter(Value):
 class OrbitDescriptor(Value):
     """An orbit of parameters: inertial classes with multiplicities, twists forgotten.
 
-    The constructor, `from_json` and `orbit_of` sort the classes into canonical
-    order (by `InertialClass.key()`) and check them: at least one, positive
-    multiplicities, pairwise distinct, consistent labels.  Only the strata walk
-    of `gldual.bernstein`, whose output meets all of this by construction,
-    skips the checks, through `_value._trusted`.
+    The constructor and `from_json` sort the classes into canonical order (by
+    `InertialClass.key()`) and check them: at least one, positive
+    multiplicities, pairwise distinct, consistent labels.  Two builders whose
+    output meets all of this by construction skip the checks, through
+    `_value._trusted`: `orbit_of`, which counts the classes of a checked
+    parameter, and the strata walk of `gldual.bernstein`.
     """
 
     _fields = ("classes",)
 
     def __init__(self, classes: tuple[tuple[InertialClass, int], ...]):
-        classes = tuple(sorted(classes, key=lambda c: c[0].key()))
+        classes = tuple(sorted(classes, key=_class_key))
         if not classes:
             raise ValueError("an orbit needs at least one class")
         for _, mult in classes:
@@ -170,12 +182,13 @@ class OrbitDescriptor(Value):
         return tuple(mult for _, mult in self.classes)
 
     def to_json(self) -> dict:
-        l, k = orbit_shape(self)
-        return {
-            "classes": [dict(cls.to_json(), multiplicity=m) for cls, m in self.classes],
-            "l": l,
-            "k": k,
-        }
+        classes, total = [], 0
+        for cls, mult in self.classes:
+            entry = cls.to_json()
+            entry["multiplicity"] = mult
+            classes.append(entry)
+            total += mult
+        return {"classes": classes, "l": total - len(classes), "k": len(classes)}
 
     @classmethod
     def from_json(cls, data: dict) -> OrbitDescriptor:
@@ -194,8 +207,15 @@ def dimension(phi: LParameter) -> int:
 
 def orbit_of(phi: LParameter) -> OrbitDescriptor:
     """Forget the twists and group equal inertial classes with multiplicities."""
+    # a checked parameter's classes, counted: distinct, positive, consistent labels
     counts = Counter(cls for cls, _ in phi.summands)
-    return OrbitDescriptor(tuple(counts.items()))
+    return _trusted(OrbitDescriptor, classes=tuple(sorted(counts.items(), key=_class_key)))
+
+
+def _retwisted(summands) -> LParameter:
+    """`summands` as a parameter in canonical order, unchecked: for a checked
+    parameter's classes with new twists that are valid by construction."""
+    return _trusted(LParameter, summands=tuple(sorted(summands, key=_summand_key)))
 
 
 def orbit_shape(orbit: OrbitDescriptor) -> tuple[int, int]:

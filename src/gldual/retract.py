@@ -6,13 +6,18 @@ is genuinely idempotent, not idempotent up to rounding.  The homotopy scales
 each modulus exponent by (1 - t), so t = 0 is the identity and t = 1 the
 retraction, and neither the inertial classes of a parameter nor the stratum of
 a point ever change along the way.
+
+On a parameter, which was checked when it was built, the new twists keep its
+reduced turns and the classes stay, so both maps build their output unchecked
+through `_value._trusted`; the point maps use the checked constructors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .parameters import LParameter
+from ._value import _trusted
+from .parameters import LParameter, _retwisted
 from .qproj import StratumPoint
 from .scalars import QScalar, _fraction
 
@@ -23,10 +28,13 @@ __all__ = [
     "homotopy_point",
 ]
 
+_ZERO = Fraction(0)  # the modulus exponent of every tempered twist
+
 
 def temper_parameter(phi: LParameter) -> LParameter:
     """Replace every twist by its unit part."""
-    return LParameter(tuple((cls, twist.unit_part()) for cls, twist in phi.summands))
+    return _retwisted([(cls, _trusted(QScalar, q_exp=_ZERO, turn=twist.turn))
+                       for cls, twist in phi.summands])
 
 
 def _check_t(t) -> Fraction:
@@ -38,10 +46,9 @@ def _check_t(t) -> Fraction:
 
 def homotopy(phi: LParameter, t) -> LParameter:
     """Contract the twist moduli by (1 - t); t = 0 is the identity, t = 1 tempers."""
-    t = _check_t(t)
-    return LParameter(
-        tuple((cls, QScalar((1 - t) * twist.q_exp, twist.turn)) for cls, twist in phi.summands)
-    )
+    s = 1 - _check_t(t)
+    return _retwisted([(cls, _trusted(QScalar, q_exp=s * twist.q_exp, turn=twist.turn))
+                       for cls, twist in phi.summands])
 
 
 def temper_point(point: StratumPoint) -> StratumPoint:

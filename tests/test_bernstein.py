@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -272,6 +273,25 @@ def test_walk_builds_what_the_validating_constructors_build():
                 assert hash(o) == hash(validated)
                 assert o.to_json() == validated.to_json()
                 assert OrbitDescriptor(tuple(reversed(o.classes))) == o
+
+
+def test_to_json_is_the_dict_of_the_shape_properties():
+    # the JSON is built directly; it equals, key order included, the dict read
+    # off `torus_rank`, `residual_blocks`, `orbit_shape` and each class's JSON
+    for exponents in [(3,), (2, 2), (4, 1, 2), (5, 5, 4)]:
+        c = _unsorted_component(exponents)
+        for s, o in zip(enumerate_strata(c), enumerate_orbits(c)):
+            assert json.dumps(s.to_json()) == json.dumps({
+                "cycle_type": [list(p) for p in s.cycle_type.parts_per_block],
+                "torus_rank": s.torus_rank,
+                "sym_factors": list(s.residual_blocks()),
+            })
+            l, k = orbit_shape(o)
+            assert json.dumps(o.to_json()) == json.dumps({
+                "classes": [dict(cls.to_json(), multiplicity=m) for cls, m in o.classes],
+                "l": l,
+                "k": k,
+            })
 
 
 def test_orbit_json_still_validated():

@@ -470,6 +470,28 @@ def test_verify_verb_exit_codes(capsys, monkeypatch):
     assert report["checks"][0]["name"] == "stub"
 
 
+def _raise_runtime_error(*args, **kwargs):
+    raise RuntimeError("broken handler")
+
+
+def test_an_unexpected_exception_is_an_internal_error_with_code_4(capsys, monkeypatch):
+    from gldual import cli
+
+    summary, _, arguments = cli._VERBS["hp"]
+    monkeypatch.setitem(cli._VERBS, "hp", (summary, _raise_runtime_error, arguments))
+    code = main(["hp", "--component", "(3)"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert _strict_json(captured.out) == {
+        "error": {"type": "internal", "message": "RuntimeError: broken handler"}}
+    assert captured.err == ""
+
+    # a verify suite that raises is internal too: code 1 means failed regressions only
+    monkeypatch.setattr("gldual.verify.run_all", _raise_runtime_error)
+    code, report, _ = run_cli(capsys, "verify")
+    assert code == 4 and report["error"]["type"] == "internal"
+
+
 def test_file_input(tmp_path, capsys):
     path = tmp_path / "component.json"
     path.write_text(json.dumps({"blocks": [{"label": "a", "exponent": 2}]}))

@@ -1,4 +1,5 @@
-"""The enumeration verbs print exactly what they printed when the corpus was recorded.
+"""The enumeration and retraction verbs print exactly what they printed when the
+corpus was recorded.
 
 `tests/data/enumeration_golden.json` maps each argv below to the exit code and
 the SHA-256 of the stdout of `gldual.cli.main`.  Regenerate it, only for an
@@ -30,6 +31,33 @@ UNSORTED = json.dumps({"blocks": [
     {"label": "a1", "exponent": 1},
 ]})
 
+# Retraction carriers.  The parameter lists its labels out of sorted order,
+# repeats inertial classes with distinct twists (two of which temper to the
+# same unit), and carries unreduced turns and a non-unitary determinant.
+PARAMETER = json.dumps({"summands": [
+    {"rho": {"id": "sc10", "dim": 2}, "j": "1/2", "twist": {"q_exp": "3/2", "turn": "1/3"}},
+    {"rho": {"id": "b"}, "j": "0", "twist": {"q_exp": "-1", "turn": "5/4"}},
+    {"rho": {"id": "a"}, "j": "1", "twist": {"q_exp": "2", "turn": "0"}},
+    {"rho": {"id": "sc2"}, "j": "0", "twist": {"q_exp": "0", "turn": "1/2"}},
+    {"rho": {"id": "B", "unitary_det": False}, "j": "3/2",
+     "twist": {"q_exp": "1/3", "turn": "-1/6"}},
+    {"rho": {"id": "a"}, "j": "1", "twist": {"q_exp": "-1/2", "turn": "2/3"}},
+    {"rho": {"id": "a"}, "j": "1", "twist": {"q_exp": "2", "turn": "0"}},
+    {"rho": {"id": "sc10", "dim": 2}, "j": "1/2", "twist": {"q_exp": "-3/2", "turn": "4/3"}},
+]})
+# A stratum point on a component with labels out of sorted order, with runs of
+# equal cycles whose coordinates are given out of order.
+POINT = json.dumps({
+    "component": {"blocks": [{"label": "sc10", "exponent": 5},
+                             {"label": "B", "exponent": 3, "q_scale": "1/2"}]},
+    "cycle_type": [[2, 1, 1, 1], [1, 1, 1]],
+    "coords": [{"q_exp": "1", "turn": "1/5"}, {"q_exp": "-2", "turn": "3/2"},
+               {"q_exp": "1/2", "turn": "0"}, {"q_exp": "-2", "turn": "1/2"},
+               {"q_exp": "0", "turn": "1/3"}, {"q_exp": "7/3", "turn": "-1/3"},
+               {"q_exp": "0", "turn": "1/3"}],
+})
+NAMED = {UNSORTED: "unsorted-json", PARAMETER: "parameter-json", POINT: "point-json"}
+
 
 def _cases():
     components = ["(%s)" % ",".join(map(str, e)) for e in _compositions(6, 3)]
@@ -38,6 +66,10 @@ def _cases():
         for component in components:
             yield [verb, "--component", component]
         yield [verb, "--component", "(21)", "--max-degree", "21"]
+    for carrier in (PARAMETER, POINT):
+        yield ["temper", "--input", carrier]
+        for t in ("0", "1/3", "1"):
+            yield ["homotopy", "--input", carrier, "--t", t]
 
 
 def _record(argv):
@@ -48,7 +80,7 @@ def _record(argv):
 
 
 def _key(argv):
-    return " ".join("unsorted-json" if a == UNSORTED else a for a in argv)
+    return " ".join(NAMED.get(a, a) for a in argv)
 
 
 @functools.cache

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -78,6 +79,16 @@ def test_orbit_invariant_under_retwisting(phi, new_twist):
         summands = list(phi.summands)
         summands[i] = (summands[i][0], new_twist)
         assert orbit_of(LParameter(tuple(summands))) == base
+
+
+@given(params)
+def test_unchecked_orbit_of_equals_its_checked_construction(phi):
+    orbit = orbit_of(phi)
+    assert orbit == OrbitDescriptor(tuple(Counter(c for c, _ in phi.summands).items()))
+    keys = [c.key() for c, _ in orbit.classes]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert all(type(m) is int and m >= 1 for _, m in orbit.classes)
+    assert all(type(c.spin_j) is F for c, _ in orbit.classes)
 
 
 @given(params)

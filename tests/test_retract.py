@@ -35,6 +35,26 @@ params = st.builds(
     LParameter, st.lists(st.tuples(classes, twists), min_size=1, max_size=4).map(tuple)
 )
 times = st.fractions(min_value=0, max_value=1, max_denominator=8)
+# labels out of sorted order ("B" < "a" < "sc10" < "sc2"), one of them with a
+# non-unitary determinant, and few classes, so that classes repeat
+mixed_classes = st.builds(
+    InertialClass,
+    st.sampled_from([WeilLabel("sc2"), WeilLabel("sc10", 2), WeilLabel("B", 1, False),
+                     WeilLabel("a", 3)]),
+    st.sampled_from([F(0), F(1, 2), F(3, 2)]),
+)
+mixed_params = st.builds(
+    LParameter, st.lists(st.tuples(mixed_classes, twists), min_size=1, max_size=8).map(tuple)
+)
+
+
+def assert_canonical(phi):
+    """Exact twists with turns in [0, 1), and summands in the constructor's key order."""
+    for _, tw in phi.summands:
+        assert type(tw.q_exp) is F and type(tw.turn) is F
+        assert 0 <= tw.turn < 1
+    keys = [(c.key(), tw.q_exp, tw.turn) for c, tw in phi.summands]
+    assert keys == sorted(keys)
 
 
 def test_temper_parameter_examples():
@@ -56,6 +76,21 @@ def test_temper_parameter_examples():
 def test_temper_is_idempotent(phi):
     once = temper_parameter(phi)
     assert temper_parameter(once) == once
+
+
+@given(st.one_of(params, mixed_params))
+def test_unchecked_temper_equals_its_checked_construction(phi):
+    result = temper_parameter(phi)
+    assert result == LParameter(tuple((c, tw.unit_part()) for c, tw in phi.summands))
+    assert_canonical(result)
+
+
+@given(st.one_of(params, mixed_params), st.one_of(times, st.sampled_from([0, 1])))
+def test_unchecked_homotopy_equals_its_checked_construction(phi, t):
+    result = homotopy(phi, t)
+    assert result == LParameter(
+        tuple((c, QScalar((1 - t) * tw.q_exp, tw.turn)) for c, tw in phi.summands))
+    assert_canonical(result)
 
 
 @given(params)
