@@ -15,14 +15,14 @@ built once, for the output.  Cells match by exact equality, so query points
 must be exact (floats are rejected, never snapped).
 
 Neither map returns more than OUTPUT_LIMIT scalars; `fiber` counts them cover by
-cover, and every branch of its walk, kept on an explicit stack, ends in a cover.
+cover.  Its walk is one flat loop over one list of open steps, each giving back
+what it took when left, and every branch of it ends in a cover.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from fractions import Fraction
 
 from ._value import Value, _trusted, set_field
@@ -118,51 +118,6 @@ def project(point: StratumPoint) -> SymPoint:
         for block, parts in zip(component.blocks, point.stratum.cycle_type.parts_per_block)))
 
 
-def _covers(counts: list[int], joined: list[bool]) -> Iterator[list[tuple[int, int]]]:
-    """Every multiset of segments whose coverage is exactly `counts`, as lists
-    of (start, length) pairs.  A segment covers cells start .. start+length-1
-    and runs from cell i to cell i+1 only where joined[i].
-
-    The lowest cell still to cover starts every segment through it.  It is
-    peeled by choosing how many of those segments reach each next cell: never
-    more than reached the cell before (segments from one start come in
-    non-increasing length), nor more than is left there.  Every choice leaves
-    a coverable remainder, so every branch ends in a cover.  Each step yields
-    its child steps to a loop over an explicit stack, and a cover as the one
-    shared list `found`, which must be read before the next.
-    """
-    rem = list(counts)
-    found: list[tuple[int, int]] = []  # the segments of the branch, shared by every step
-
-    def peel(start: int):
-        # the step from the lowest cell left, or `found` when the branch is a cover
-        while start < len(rem) and rem[start] == 0:
-            start += 1
-        return reach(start, 1, rem[start]) if start < len(rem) else found
-
-    def reach(start: int, length: int, width: int):
-        # a step: `width` segments from `start` are at least `length` long
-        end = start + length - 1
-        rem[end] -= width
-        longer = min(width, rem[end + 1]) if end + 1 < len(rem) and joined[end] else 0
-        mark = len(found)
-        for more in range(longer, -1, -1):
-            found.extend([(start, length)] * (width - more))
-            yield reach(start, length + 1, more) if more else peel(start + 1)
-            del found[mark:]
-        rem[end] += width
-
-    stack = [iter([peel(0)])]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-        elif step is found:
-            yield found
-        else:
-            stack.append(step)
-
-
 def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
     """The complete q-projection preimage of `point`, over all strata.
 
@@ -200,27 +155,59 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
     ranked = list(first)
     rank = {cell: r for r, cell in enumerate(ranked)}
     cells = sorted(tally)
-    counts = [tally[cell] for cell in cells]
-    joined = [a[:5] == b[:5] and a[5] + 1 == b[5] for a, b in zip(cells, cells[1:])]
+    rem = [tally[cell] for cell in cells] + [0]  # a zero past the last cell, read at a cover
+    joined = [a[:5] == b[:5] and a[5] + 1 == b[5] for a, b in zip(cells, cells[1:])] + [False]
 
-    # The strings of one block and length differ from their lowest cells by one
-    # common factor q^(s(L-1)/2), so they sort as (block, -L, rank of that cell)
-    # and each coordinate tuple of a stratum sorts as its tuple of ranks.
-    @functools.cache
-    def string(segment: tuple[int, int]) -> tuple[int, int, int]:
-        start, length = segment
-        cell = cells[start]
-        return cell[0], -length, rank[cell]
-
+    # The walk covers the counts exactly by segments, which run from cell i to
+    # cell i+1 only where joined[i].  The lowest cell still to cover starts
+    # every segment through it, and is peeled by choosing how many of those
+    # reach each next cell: never more than reached the cell before (segments
+    # from one start come in non-increasing length), nor more than is left
+    # there.  Every choice leaves a coverable remainder, so every branch ends
+    # in a cover.  One loop runs one list of open steps [start, end, width,
+    # more, mark]: a step takes the `width` segments from `start` that reach
+    # `end` out of rem[end], tries `more` of them going on, down to 0, each
+    # after truncating `segments` to `mark`, and when left gives rem[end] back.
+    # A segment is recorded as its sort key: the strings of one block and
+    # length differ from their lowest cells by one common factor q^(s(L-1)/2),
+    # so they sort as (block, -L, rank of that cell), and each coordinate tuple
+    # of a stratum sorts as its tuple of ranks.
+    block_of = [cell[0] for cell in cells]
+    rank_of = [rank[cell] for cell in cells]
+    segments: list[tuple[int, int, int]] = []
+    steps: list[list[int]] = []
     # a cover's shape, its blocks and negated lengths in sorted order, names its stratum
     found: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
     size = 0
-    for cover in _covers(counts, joined):
-        size += len(cover)
-        if size > OUTPUT_LIMIT:
-            raise LimitExceeded("the fiber exceeds the output limit %d" % OUTPUT_LIMIT)
-        blocks, negated, ranks = zip(*sorted(map(string, cover)))
-        found.setdefault((blocks, negated), []).append(ranks)
+    start, end, width = 0, 0, rem[0]  # the step to open next; past the last cell, a cover
+    while True:
+        if start < len(cells):
+            rem[end] -= width
+            more = min(width, rem[end + 1]) if joined[end] else 0
+            steps.append([start, end, width, more, len(segments)])
+        else:
+            size += len(segments)
+            if size > OUTPUT_LIMIT:
+                raise LimitExceeded("the fiber exceeds the output limit %d" % OUTPUT_LIMIT)
+            blocks, negated, ranks = zip(*sorted(segments))
+            found.setdefault((blocks, negated), []).append(ranks)
+        while steps and steps[-1][3] < 0:
+            _, end, width, _, _ = steps.pop()
+            rem[end] += width
+        if not steps:
+            break
+        step = steps[-1]
+        start, end, width, more, mark = step
+        step[3] = more - 1
+        del segments[mark:]
+        segments.extend([(block_of[start], start - end - 1, rank_of[start])] * (width - more))
+        if more:
+            end, width = end + 1, more
+        else:
+            start += 1
+            while start < len(cells) and rem[start] == 0:
+                start += 1
+            end, width = start, rem[start]
 
     # One scalar per distinct string: a string's coordinate is its center, its
     # lowest cell's scalar times q^(s(L-1)/2); already canonical, so unchecked.

@@ -383,7 +383,11 @@ def check_symfun_roundtrip(samples_per_degree: int = 200, seed: int = 20250810) 
 
 def run_all(seed: int = 20250810, fiber_samples: int = 500,
             sym_samples: int = 200) -> list[CheckResult]:
-    """Run every acceptance check; the CLI `verify` verb wraps exactly this."""
+    """Run every acceptance check; the CLI `verify` verb wraps exactly this.
+    Both sample counts must be at least 1, or nothing runs."""
+    for name, count in (("fiber_samples", fiber_samples), ("sym_samples", sym_samples)):
+        if count < 1:
+            raise ValueError("%s must be at least 1, got %d" % (name, count))
     return [
         check_gl2_projection(),
         check_gl3_fiber(),

@@ -65,6 +65,11 @@ def test_partition_counts_are_filled_up_to_the_output_limit_only():
     assert len(gldual.partitions._PARTITIONS) == 40
 
 
+def test_partition_count_refuses_a_negative_n():
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        gldual.partitions._count(-1)
+
+
 def test_refused_multipartitions_build_no_partition_table():
     partitions.cache_clear()
     with pytest.raises(LimitExceeded, match="31404816 multipartitions exceed"):

@@ -474,6 +474,20 @@ def _raise_runtime_error(*args, **kwargs):
     raise RuntimeError("broken handler")
 
 
+@pytest.mark.parametrize("counts", [
+    ["--fiber-samples", "-5", "--sym-samples", "-3"],  # was "-5 random points" with exit 0
+    ["--fiber-samples", "0"],
+    ["--sym-samples", "0"],
+])
+def test_verify_refuses_sample_counts_below_one(capsys, monkeypatch, counts):
+    # refused before any check runs: a check that ran would exit 4
+    monkeypatch.setattr("gldual.verify.check_gl2_projection", _raise_runtime_error)
+    code, report, _ = run_cli(capsys, "verify", *counts)
+    assert code == 2
+    assert report["error"]["type"] == "validation"
+    assert "samples must be at least 1, got " in report["error"]["message"]
+
+
 def test_an_unexpected_exception_is_an_internal_error_with_code_4(capsys, monkeypatch):
     from gldual import cli
 

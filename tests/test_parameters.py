@@ -168,6 +168,11 @@ def test_label_validation():
         )
 
 
+def test_a_parameter_needs_a_summand():
+    with pytest.raises(ValueError, match="at least one summand"):
+        LParameter(())
+
+
 def test_orbit_descriptor_validation():
     with pytest.raises(ValueError):
         OrbitDescriptor(())

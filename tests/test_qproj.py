@@ -1,9 +1,11 @@
+import importlib
 import itertools
 import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from gldual.qproj import OUTPUT_LIMIT, StratumPoint, SymPoint, fiber, project, q
     verify_section
 from gldual.scalars import ONE, QScalar, q_power, unit
 from gldual.verify import fiber_reference
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def stratum(component, *parts_per_block):
@@ -31,6 +35,11 @@ def test_q_string_examples():
     assert q_string(3, ONE) == (q_power(-1), ONE, q_power(1))
     z = QScalar(F(1, 3), F(1, 7))
     assert q_string(1, z) == (z,)
+
+
+def test_q_string_refuses_a_length_below_one():
+    with pytest.raises(ValueError, match="alpha must be >= 1"):
+        q_string(0, ONE)
 
 
 def test_q_string_general_center():
@@ -358,6 +367,36 @@ def test_q_string_fiber_points_are_canonical():
     points = fiber(SymPoint((q_string(12, ONE),)), Component.from_exponents((12,)))
     assert len(points) == 2048
     _assert_canonical(points)
+
+
+def test_deep_fiber_sizes_equal_the_benchmark_multisegment_count(monkeypatch):
+    # fiber_reference cannot reach degrees 9-13 in time; the benchmark's
+    # counter, written apart from gldual, counts each q-line's covers on its
+    # own and multiplies them
+    monkeypatch.syspath_prepend(str(BENCH))
+    combinat = importlib.import_module("combinat")
+    rng = random.Random(18)
+    deepest = most_lines = 0
+    for _ in range(120):
+        degree, blocks = rng.randint(9, 13), rng.randint(1, 3)
+        cuts = sorted(rng.sample(range(1, degree), blocks - 1))
+        exponents = [b - a for a, b in zip([0, *cuts], [*cuts, degree])]
+        component = Component(tuple(Block("b%d" % i, e, rng.choice(_SCALES))
+                                    for i, e in enumerate(exponents)))
+        s = Stratum(component, CycleType(tuple(rng.choice(list(partitions(e)))
+                                               for e in exponents)))
+        coords = tuple(QScalar(F(rng.randint(-2, 2), 2), rng.choice((F(0), F(1, 2), F(1, 3))))
+                       for _ in range(s.torus_rank))
+        y = project(StratumPoint(s, coords))
+        elements = [[(z.q_exp, z.turn) for z in b] for b in y.blocks]
+        scales = [b.q_scale for b in component.blocks]
+        points = fiber(y, component)
+        assert len(points) == combinat.fiber_size(elements, scales)
+        _assert_canonical(points)
+        deepest = max(deepest, len(points))
+        most_lines = max(most_lines, sum(len(combinat.line_counts(e, scale))
+                                         for e, scale in zip(elements, scales)))
+    assert deepest >= 1000 and most_lines >= 6
 
 
 def test_fiber_search_compares_no_scalar(monkeypatch):

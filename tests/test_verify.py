@@ -1,5 +1,6 @@
 """Sanity and sensitivity tests for the regression harness itself."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -75,6 +76,22 @@ def test_hp_regression_detects_a_corrupted_overpartition_count(monkeypatch):
     monkeypatch.undo()
     assert verify.check_hp_values().passed
     assert verify.check_hp_consistency_sweep().passed
+
+
+def test_a_check_over_its_budget_fails():
+    result = verify._result("late", True, "ok", time.perf_counter() - 1.0, budget=0.5)
+    assert not result.passed
+    assert result.detail.startswith("ok [over budget: ")
+    assert result.seconds >= 1.0
+
+
+def test_fiber_oracle_counts_a_dropped_point_as_a_mismatch(monkeypatch):
+    # no fiber is empty (the identity stratum reaches every point), so dropping
+    # one point of it always differs from the brute force
+    monkeypatch.setattr(verify, "fiber", lambda y, c: gldual.qproj.fiber(y, c)[1:])
+    result = verify.check_fiber_oracle(samples=1)
+    assert not result.passed
+    assert "1 random points, 1 mismatches" in result.detail
 
 
 def test_check_results_report_budgets():
