@@ -16,8 +16,9 @@ so a process pays for its own verb only: `symcoords`, for one, loads neither
 the exact layers nor `fractions`.  Likewise a process builds the argparse
 subparser of its own verb only; help, no verb and an unknown verb build all
 nine.  A `--max-degree` left out is not passed on, and the library's own
-default limit applies.  `project` and `fiber` have no `--max-degree`: they
-are bounded by the size of their output, `OUTPUT_LIMIT` scalars.
+default limit applies.  `project`, `fiber` and `symcoords` have no
+`--max-degree`: the first two are bounded by the size of their output,
+`OUTPUT_LIMIT` scalars, and `symcoords --sigma` by the fixed `ROOTS_LIMIT`.
 """
 
 from __future__ import annotations
@@ -241,16 +242,14 @@ def _cmd_symcoords(args) -> tuple[int, dict]:
     sigma = _parse_complex_list(args.sigma, "--sigma")
     if args.n is not None and len(sigma) != args.n:
         raise ValueError("expected %d coordinates, got %d" % (args.n, len(sigma)))
-    roots = from_sym_coords(SymCoords(tuple(sigma)), **_limit(args))
+    roots = from_sym_coords(SymCoords(tuple(sigma)))
     return 0, {"points": [_complex_json(r) for r in roots]}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
     from . import verify  # deferred: only this verb compiles and loads the regression suite
 
-    results = verify.run_all(
-        seed=args.seed, fiber_samples=args.fiber_samples, sym_samples=args.sym_samples
-    )
+    results = verify.run_all(fiber_samples=args.fiber_samples, sym_samples=args.sym_samples)
     passed = all(r.passed for r in results)
     for r in results:
         print("%s %s (%.3fs)" % ("PASS" if r.passed else "FAIL", r.name, r.seconds),
@@ -288,11 +287,8 @@ _VERBS = {
     "symcoords": ("elementary symmetric coordinates, both directions", _cmd_symcoords, [
         ("--points", {"help": "JSON list of {re, im} points"}),
         ("--sigma", {"help": "JSON list of {re, im} coordinates"}),
-        ("--n", {"type": int, "help": "expected size, validated when given"}),
-        ("--max-degree", {"type": int,
-                          "help": "refuse a --sigma of higher degree (default: ROOTS_LIMIT)"})]),
+        ("--n", {"type": int, "help": "expected size, validated when given"})]),
     "verify": ("run the regression suite", _cmd_verify, [
-        ("--seed", {"type": int, "default": 20250810}),
         ("--fiber-samples", {"type": int, "default": 500}),
         ("--sym-samples", {"type": int, "default": 200})]),
 }

@@ -21,7 +21,6 @@ of det(I + t * P_g) over each stratum's group.  In that average a cycle type
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -76,9 +75,6 @@ class PoincarePolynomial(Value):
     def total(self) -> int:
         return sum(self.coeffs)
 
-    def to_json(self) -> dict:
-        return {"coeffs": list(self.coeffs)}
-
 
 class PermutationAction(Value):
     """Product of symmetric groups S_{m_1} x S_{m_2} x ... permuting disjoint
@@ -126,8 +122,6 @@ def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
     return PoincarePolynomial(tuple(coeffs))
 
 
-# one entry per torus rank k seen; PoincarePolynomial is immutable, so callers may share it
-@functools.lru_cache(maxsize=None)
 def _binomial(k: int) -> PoincarePolynomial:
     return PoincarePolynomial(tuple(math.comb(k, p) for p in range(k + 1)))
 

@@ -25,9 +25,9 @@ from .errors import LimitExceeded, RootFindingError
 
 __all__ = ["SymCoords", "ROOTS_LIMIT", "to_sym_coords", "from_sym_coords", "match_multisets"]
 
-# from_sym_coords refuses polynomials above this degree.  Its cost grows about
-# as the cube of the degree: at 64, about 0.06 s for scattered roots and 0.25 s
-# for a 64-fold root; at 1000, more than 40 s.
+# from_sym_coords refuses polynomials above this degree; no argument raises it.
+# Its cost grows about as the cube of the degree: at 64, about 0.06 s for
+# scattered roots and 0.25 s for a 64-fold root; at 1000, more than 40 s.
 ROOTS_LIMIT = 64
 
 
@@ -86,19 +86,19 @@ def to_sym_coords(points) -> SymCoords:
     return SymCoords(tuple(coeffs[1:]))
 
 
-def from_sym_coords(coords: SymCoords, max_degree: int = ROOTS_LIMIT) -> tuple[complex, ...]:
+def from_sym_coords(coords: SymCoords) -> tuple[complex, ...]:
     """The multiset inverse: all roots (with multiplicity) of the monic
     polynomial with the given symmetric functions, sorted deterministically.
 
-    Raises LimitExceeded for a polynomial of degree above `max_degree`, and
+    Raises LimitExceeded for a polynomial of degree above ROOTS_LIMIT, and
     RootFindingError if :func:`gldual.aberth.polyroots` does: its
     double-precision iteration has not converged after
     :data:`gldual.aberth.MAX_STEPS` steps, has overflowed or divided by zero,
     or left a root that fails the exact-residual test.
     """
-    if len(coords.sigma) > max_degree:
+    if len(coords.sigma) > ROOTS_LIMIT:
         raise LimitExceeded("polynomial degree %d exceeds the root-finding limit %d"
-                            % (len(coords.sigma), max_degree))
+                            % (len(coords.sigma), ROOTS_LIMIT))
     from .aberth import polyroots  # deferred: only root finding compiles and loads it
 
     monic = [1 + 0j] + [-complex(x) if k % 2 == 0 else complex(x)
@@ -123,9 +123,14 @@ def match_multisets(a, b) -> list[tuple[int, int]]:
     b = [complex(x) for x in b]
     if len(a) != len(b):
         raise ValueError("multisets must have equal size")
-    cost = [[abs(x - y) for y in b] for x in a]
-    if not all(math.isfinite(c) for row in cost for c in row):
+    if not all(map(cmath.isfinite, a + b)):
         raise ValueError("points must be finite")
+    try:  # abs itself raises where only the modulus of a difference overflows
+        cost = [[abs(x - y) for y in b] for x in a]
+        if not all(math.isfinite(c) for row in cost for c in row):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("a distance between the points overflows the range of doubles") from None
     n = len(a)
     # Shortest augmenting paths over 1-based columns; column 0 is the root.
     # row_of[j] is the row assigned to column j (0 while free), u and v are

@@ -40,7 +40,9 @@ __all__ = ["CheckResult", "fiber_reference", "hp_by_walks", "run_all"]
 SWEEP_TOTAL_MAX = 8
 SWEEP_MAX_BLOCKS = 3
 FIBER_TOTAL_MAX = 5
-REFERENCE_LIMIT = 12  # the degree bound of the brute-force fiber reference
+# the degree bound of the brute-force fiber reference, which costs about 15x
+# per degree: on a generic one-block point 0.2 s at degree 5, 85 s at degree 7
+REFERENCE_LIMIT = 5
 ROOT_SEPARATION = 1e-3  # least distance between two roots of a round-trip sample
 
 

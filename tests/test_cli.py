@@ -218,6 +218,26 @@ def test_project_and_fiber_have_no_max_degree(capsys, argv):
     assert code == 2 and report["error"] == {"type": "validation", "message": "invalid arguments"}
 
 
+def test_verify_has_no_seed_option(capsys):
+    # the seed is fixed on the command line; run_all(seed=...) stays for library callers
+    code, report, _ = run_cli(capsys, "verify", "--seed", "1")
+    assert code == 2 and report["error"] == {"type": "validation", "message": "invalid arguments"}
+
+
+def _q_string(n):
+    # the n-term q-string centred on 1: q^((1-n)/2), ..., q^((n-1)/2)
+    return "{%s}" % ",".join("q^%d/2" % (2 * i + 1 - n) for i in range(n))
+
+
+def test_the_largest_q_string_fiber_answers_and_the_next_is_a_limit(capsys):
+    # the README's sizes: 4,096 points for 13 terms, and 8,192 for 14 do not fit
+    code, report, _ = run_cli(capsys, "fiber", "--component", "(13)", "--point", _q_string(13))
+    assert code == 0 and report["count"] == len(report["points"]) == 4096
+    code, report, _ = run_cli(capsys, "fiber", "--component", "(14)", "--point", _q_string(14))
+    assert code == 3 and report["error"] == {
+        "type": "limit", "message": "the fiber exceeds the output limit 32768"}
+
+
 def test_a_fiber_above_the_output_limit_is_refused_at_once_in_bounded_memory():
     # 75 copies of each of 20 consecutive q-powers: was enumerated until memory
     # ran out (1.7 GB within two minutes).  The child's address space of 100 MB
@@ -262,14 +282,14 @@ def test_symcoords_sigma_refuses_a_degree_above_its_limit(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3 and report["error"] == {
         "type": "limit", "message": "polynomial degree 65 exceeds the root-finding limit 64"}
-    # x^65 - x^64 + ... - 1: the 66th roots of unity other than 1
+    # x^64 - x^63 + ... + 1: the 65th roots of unity other than 1
+    code, report, _ = run_cli(capsys, "symcoords", "--sigma", json.dumps([{"re": 1}] * 64))
+    assert code == 0 and len(report["points"]) == 64
+    # ROOTS_LIMIT is a ceiling: symcoords has no --max-degree to raise it
     code, report, _ = run_cli(capsys, "symcoords", "--sigma", sigma, "--max-degree", "65")
-    assert code == 0 and len(report["points"]) == 65
-    code, report, _ = run_cli(capsys, "symcoords", "--sigma", '[{"re":5},{"re":6}]',
-                              "--max-degree", "1")
-    assert code == 3 and report["error"]["type"] == "limit"
+    assert code == 2 and report["error"] == {"type": "validation", "message": "invalid arguments"}
     # the guard is on root finding only: --points has none
-    code, report, _ = run_cli(capsys, "symcoords", "--points", sigma, "--max-degree", "1")
+    code, report, _ = run_cli(capsys, "symcoords", "--points", sigma)
     assert code == 0 and len(report["sigma"]) == 65
 
 
@@ -712,3 +732,91 @@ def test_every_verb_answers_in_strict_json(argv):
     _strict_json(out.getvalue())
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+# --- adversarial sizes: each verb just under and just past every limit, in a child
+# process whose address space is capped, so a guard that failed would show as a
+# timeout, a MemoryError or a traceback rather than as a slow test run
+
+
+def _summand_json(j="0", q_exp="1"):
+    return json.dumps({"summands": [{"rho": {"id": "a"}, "j": j,
+                                     "twist": {"q_exp": q_exp, "turn": "0"}}]})
+
+
+_NESTED = "[" * 50000 + "]" * 50000  # deeper than the decoder's recursion allows
+_SHALLOW = "[" * 100 + "]" * 100  # decoded, then refused as not an object
+
+# (id, argv, exit code)
+_ADVERSARIAL = [
+    # OUTPUT_LIMIT = 32768: p(39) = 31,185 strata fit, p(40) = 37,338 do not
+    ("strata-39", ["strata", "--component", "(39)", "--max-degree", "39"], 0),
+    ("strata-40", ["strata", "--component", "(40)", "--max-degree", "40"], 3),
+    ("orbits-40", ["orbits", "--component", "(40)", "--max-degree", "40"], 3),
+    # p(15)^2 = 30,976 multipartitions fit, p(15) p(16) = 40,656 do not
+    ("orbits-15-15", ["orbits", "--component", "(15,15)", "--max-degree", "30"], 0),
+    ("orbits-15-16", ["orbits", "--component", "(15,16)", "--max-degree", "31"], 3),
+    ("fiber-13", ["fiber", "--component", "(13)", "--point", _q_string(13)], 0),
+    ("fiber-14", ["fiber", "--component", "(14)", "--point", _q_string(14)], 3),
+    ("project-32768", ["project", "--component", "(32768)", "--cycle", "(32768)",
+                       "--coords", "{1}"], 0),
+    ("project-32769", ["project", "--component", "(32769)", "--cycle", "(32769)",
+                       "--coords", "{1}"], 3),
+    # HP_LIMIT = 1000, whatever --max-degree says
+    ("hp-1000", ["hp", "--component", "(1000)", "--max-degree", "1000"], 0),
+    ("hp-1001", ["hp", "--component", "(1001)", "--max-degree", "1001"], 3),
+    # ROOTS_LIMIT = 64, a ceiling
+    ("sigma-64", ["symcoords", "--sigma", json.dumps([{"re": 1}] * 64)], 0),
+    ("sigma-65", ["symcoords", "--sigma", json.dumps([{"re": 1}] * 65)], 3),
+    # MAX_DECIMAL_EXPONENT = 100
+    ("t-1e-100", ["homotopy", "--input", _summand_json(), "--t", "1e-100"], 0),
+    ("t-1e-101", ["homotopy", "--input", _summand_json(), "--t", "1e-101"], 2),
+    ("j-1e100", ["temper", "--input", _summand_json(j="1e100")], 0),
+    ("j-1e101", ["temper", "--input", _summand_json(j="1e101")], 2),
+    ("q_exp-1e100", ["temper", "--input", _summand_json(q_exp="1e100")], 0),
+    ("q_exp-1e101", ["temper", "--input", _summand_json(q_exp="1e101")], 2),
+    # JSON nesting
+    ("component-shallow", ["hp", "--component", _SHALLOW], 2),
+    ("component-nested", ["hp", "--component", _NESTED], 2),
+    ("input-nested", ["temper", "--input", _NESTED], 2),
+    ("sigma-nested", ["symcoords", "--sigma", _NESTED], 2),
+]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(argv, expected, id=name) for name, argv, expected in _ADVERSARIAL])
+def test_adversarial_sizes_answer_or_refuse_in_strict_json(argv, expected):
+    # an answer may print megabytes (orbits-15-15: 34 MB) and is timed as such;
+    # a refusal comes before any walk, in a small address space
+    cap, bound = (1024 * 2**20, 10.0) if expected == 0 else (100 * 2**20, 1.0)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gldual.cli", *argv], capture_output=True, text=True, env=env,
+        timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    elapsed = time.perf_counter() - start
+    report = _strict_json(proc.stdout)
+    assert proc.returncode == expected
+    assert ("error" in report) == (expected != 0)
+    assert "Traceback" not in proc.stderr
+    assert elapsed < bound
+
+
+def test_the_fiber_reference_answers_at_its_limit_and_refuses_above_at_once():
+    # REFERENCE_LIMIT is on no verb's path: the brute force grows about 15x per degree
+    from gldual.bernstein import Component
+    from gldual.qproj import SymPoint, fiber
+    from gldual.scalars import unit
+    from gldual.verify import REFERENCE_LIMIT, fiber_reference
+
+    def generic(n):
+        return SymPoint((tuple(unit(F(i, n)) for i in range(n)),)), Component.from_exponents((n,))
+
+    start = time.perf_counter()
+    assert fiber_reference(*generic(REFERENCE_LIMIT)) == fiber(*generic(REFERENCE_LIMIT))
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    with pytest.raises(gldual.errors.LimitExceeded, match="exceeds the reference limit"):
+        fiber_reference(*generic(REFERENCE_LIMIT + 1))
+    assert time.perf_counter() - start < 0.1

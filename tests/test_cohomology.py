@@ -188,7 +188,6 @@ def test_poincare_polynomial_normalization():
     assert PoincarePolynomial((1, 2, 1, 0, 0)).coeffs == (1, 2, 1)
     assert PoincarePolynomial((1, 2, 1)).even_total == 2
     assert PoincarePolynomial((1, 2, 1)).odd_total == 2
-    assert PoincarePolynomial((1, 2, 1)).to_json() == {"coeffs": [1, 2, 1]}
     with pytest.raises(ValueError):
         PoincarePolynomial((0, 0))
     with pytest.raises(ValueError):

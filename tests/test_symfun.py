@@ -25,12 +25,17 @@ def test_inverse_examples():
 
 
 def test_root_finding_degree_limit():
-    coords = SymCoords((1,) * (ROOTS_LIMIT + 1))
+    # ROOTS_LIMIT is a ceiling: from_sym_coords takes no argument that raises it
     with pytest.raises(LimitExceeded):
-        from_sym_coords(coords)
-    assert len(from_sym_coords(coords, max_degree=ROOTS_LIMIT + 1)) == ROOTS_LIMIT + 1
-    with pytest.raises(LimitExceeded):
+        from_sym_coords(SymCoords((1,) * (ROOTS_LIMIT + 1)))
+    assert len(from_sym_coords(SymCoords((1,) * ROOTS_LIMIT))) == ROOTS_LIMIT
+    with pytest.raises(TypeError):
         from_sym_coords(SymCoords((5, 6)), max_degree=1)
+
+
+def test_empty_sigma_rejected():
+    with pytest.raises(ValueError, match=r"^sigma must be nonempty$"):
+        SymCoords(())
 
 
 def test_zero_point_rejected():
@@ -160,6 +165,16 @@ def test_match_multisets_refuses_non_finite_points():
         match_multisets([float("inf")], [1])
     with pytest.raises(ValueError):
         match_multisets([complex("nan")], [1])
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.7e308, 1.7e308j], [1.7e308j, 1.7e308]),  # abs raised OverflowError
+    ([1.7e308], [-1.7e308]),  # the difference itself is infinite
+], ids=["modulus", "difference"])
+def test_match_multisets_refuses_finite_points_whose_distance_overflows(a, b):
+    with pytest.raises(ValueError, match=r"^a distance between the points overflows the "
+                                         r"range of doubles$"):
+        match_multisets(a, b)
 
 
 def test_sigma_overflow_and_underflow_are_named():

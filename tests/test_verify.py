@@ -94,6 +94,26 @@ def test_fiber_oracle_counts_a_dropped_point_as_a_mismatch(monkeypatch):
     assert "1 random points, 1 mismatches" in result.detail
 
 
+def test_fiber_oracle_fails_when_a_point_does_not_re_project(monkeypatch):
+    # the first projection builds the query; every later one, of a returned
+    # point, is moved by q, so fiber and brute force agree but re-projection fails
+    calls = []
+
+    def project(point):
+        calls.append(point)
+        image = gldual.qproj.project(point)
+        if len(calls) == 1:
+            return image
+        return gldual.qproj.SymPoint(tuple(tuple(z.q_shift(1) for z in block)
+                                           for block in image.blocks))
+
+    monkeypatch.setattr(verify, "project", project)
+    result = verify.check_fiber_oracle(samples=1)
+    assert len(calls) > 1
+    assert not result.passed
+    assert "1 random points, 0 mismatches" in result.detail
+
+
 def test_check_results_report_budgets():
     result = verify.check_gl2_projection()
     assert result.budget == 0.001
@@ -105,5 +125,5 @@ def test_fiber_reference_refuses_a_degree_above_its_limit():
     n = verify.REFERENCE_LIMIT + 1
     component = Component.from_exponents((n,))
     point = gldual.qproj.SymPoint((tuple(gldual.scalars.q_power(i) for i in range(n)),))
-    with pytest.raises(LimitExceeded, match="exceeds the reference limit 12"):
+    with pytest.raises(LimitExceeded, match="exceeds the reference limit 5"):
         verify.fiber_reference(point, component)
