@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import LimitExceeded, RootFindingError
@@ -41,12 +40,27 @@ def _load_text(value: str) -> str:
     return value
 
 
-def _decode_json(text: str, **kwargs):
-    """json.loads, with input nested too deeply for the decoder refused as invalid."""
+# what a refusal says it got, for each type that json.loads returns
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_of_type(value, where: str, expected: type):
+    """`value` if it is of the `expected` type, dict or list; otherwise refused."""
+    if type(value) is not expected:
+        raise ValueError("%s must be a JSON %s, got %s" % (
+            where, "object" if expected is dict else "list", _JSON_TYPES[type(value)]))
+    return value
+
+
+def _decode_json(text: str, flag: str, expected: type):
+    """json.loads of the value of `flag`, refused unless it is of the `expected`
+    type (dict or list) or where it is nested too deeply for the decoder."""
     try:
-        return json.loads(text, **kwargs)
+        value = json.loads(text)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+    return _json_of_type(value, flag, expected)
 
 
 def _int_tuple(text: str, what: str) -> tuple[int, ...]:
@@ -83,7 +97,7 @@ def _parse_component(text: str):
     text = _load_text(text).strip()
     if text.startswith("("):
         return Component.from_exponents(_int_tuple(text, "exponent"))
-    return Component.from_json(_decode_json(text))
+    return Component.from_json(_decode_json(text, "--component", dict))
 
 
 def _parse_scalar_list(text: str) -> tuple:
@@ -97,29 +111,26 @@ def _parse_sym_point(text: str):
     # '{"blocks": ...}' is JSON; any other '{...}' is the scalar shorthand
     if text.startswith("{") and not text[1:].lstrip().startswith('"'):
         return SymPoint(tuple(_parse_scalar_list(part) for part in text.split(";")))
-    return SymPoint.from_json(_decode_json(text))
+    return SymPoint.from_json(_decode_json(text, "--point", dict))
 
 
-def _finite_float(value, name: str) -> float:
+def _json_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError("%s must be a JSON number, got %r" % (name, value))
     try:
-        out = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise ValueError("%s must be finite, got %r" % (name, value))
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range: symfun refuses it
+        return float("inf")
+
+
+def _parse_complex_list(text: str, flag: str) -> list[complex]:
+    """A JSON list of {re, im} objects (im defaults to 0) as complex numbers; NaN
+    and infinities are left for `gldual.symfun` to refuse."""
+    out = []
+    for i, d in enumerate(_decode_json(_load_text(text), flag, list)):
+        _json_of_type(d, "%s[%d]" % (flag, i), dict)
+        out.append(complex(_json_float(d["re"], "re"), _json_float(d.get("im", 0.0), "im")))
     return out
-
-
-def _parse_complex_list(text: str, what: str) -> list[complex]:
-    """A JSON list of {re, im} objects (im defaults to 0) as finite complex numbers."""
-
-    def refuse(token):
-        raise ValueError("non-finite token %s in %s" % (token, what))
-
-    return [complex(_finite_float(d["re"], "re"), _finite_float(d.get("im", 0.0), "im"))
-            for d in _decode_json(_load_text(text), parse_constant=refuse)]
 
 
 def _complex_json(z: complex) -> dict:
@@ -160,7 +171,7 @@ def _stratum_point_from_args(args):
     from .qproj import StratumPoint
 
     if args.point is not None:
-        return StratumPoint.from_json(_decode_json(_load_text(args.point)))
+        return StratumPoint.from_json(_decode_json(_load_text(args.point), "--point", dict))
     if args.component is None or args.cycle is None or args.coords is None:
         raise ValueError("need either --point or all of --component/--cycle/--coords")
     component = _parse_component(args.component)
@@ -202,7 +213,7 @@ def _parse_carrier(text: str):
     from .parameters import LParameter
     from .qproj import StratumPoint
 
-    data = _decode_json(_load_text(text))
+    data = _decode_json(_load_text(text), "--input", dict)
     if "summands" in data:
         return LParameter.from_json(data)
     return StratumPoint.from_json(data)
@@ -233,17 +244,15 @@ def _cmd_symcoords(args) -> tuple[int, dict]:
 
     if (args.points is None) == (args.sigma is None):
         raise ValueError("need exactly one of --points or --sigma")
-    if args.points is not None:
-        pts = _parse_complex_list(args.points, "--points")
-        if args.n is not None and len(pts) != args.n:
-            raise ValueError("expected %d points, got %d" % (args.n, len(pts)))
-        sigma = to_sym_coords(pts).sigma
-        return 0, {"sigma": [_complex_json(s) for s in sigma]}
-    sigma = _parse_complex_list(args.sigma, "--sigma")
-    if args.n is not None and len(sigma) != args.n:
-        raise ValueError("expected %d coordinates, got %d" % (args.n, len(sigma)))
-    roots = from_sym_coords(SymCoords(tuple(sigma)))
-    return 0, {"points": [_complex_json(r) for r in roots]}
+    forward = args.points is not None
+    flag, text, noun = (("--points", args.points, "points") if forward
+                        else ("--sigma", args.sigma, "coordinates"))
+    values = _parse_complex_list(text, flag)
+    if args.n is not None and len(values) != args.n:
+        raise ValueError("expected %d %s, got %d" % (args.n, noun, len(values)))
+    if forward:
+        return 0, {"sigma": [_complex_json(s) for s in to_sym_coords(values).sigma]}
+    return 0, {"points": [_complex_json(r) for r in from_sym_coords(SymCoords(values))]}
 
 
 def _cmd_verify(args) -> tuple[int, dict]:

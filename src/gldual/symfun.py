@@ -7,6 +7,10 @@ x^n - sigma_1 x^(n-1) + ... + (-1)^n sigma_n.  Together the two maps certify,
 at sample points, that the n-th symmetric power of the punctured plane is the
 product of an affine (n-1)-space with a punctured affine line.
 
+Every input number, a point or a sigma_k, is converted to a complex double
+once, on entry; the first that is not finite (NaN, an infinity, an integer
+beyond the doubles) is refused with a ValueError naming its position and value.
+
 The roots come from :func:`gldual.aberth.polyroots`, a pure-Python
 Aberth-Ehrlich root finder with an exact polish, imported on the first call
 to :func:`from_sym_coords`: importing this module (and with it ``gldual`` and
@@ -20,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._value import Value, set_field
+from ._value import Value, _trusted, set_field
 from .errors import LimitExceeded, RootFindingError
 
 __all__ = ["SymCoords", "ROOTS_LIMIT", "to_sym_coords", "from_sym_coords", "match_multisets"]
@@ -31,21 +35,34 @@ __all__ = ["SymCoords", "ROOTS_LIMIT", "to_sym_coords", "from_sym_coords", "matc
 ROOTS_LIMIT = 64
 
 
+def _finite(values, message: str, first: int = 0) -> list[complex]:
+    """The values as complex doubles; the first that is not finite (NaN, an infinity,
+    an integer beyond the doubles) is refused as `message % (position from first, value)`."""
+    values = tuple(values)  # walked again only to name the culprit
+    try:
+        out = list(map(complex, values))
+        if all(map(cmath.isfinite, out)):
+            return out
+    except OverflowError:  # an integer beyond the range of doubles
+        pass
+    for i, x in enumerate(values, first):
+        try:
+            if cmath.isfinite(complex(x)):
+                continue
+        except OverflowError:
+            pass
+        raise ValueError(message % (i, x))
+
+
 class SymCoords(Value):
     """The elementary symmetric functions (sigma_1, ..., sigma_n) of n nonzero points."""
 
     _fields = ("sigma",)
 
     def __init__(self, sigma: tuple[complex, ...]):
+        sigma = tuple(_finite(sigma, "sigma must be finite, sigma_%d is %r", 1))
         if not sigma:
             raise ValueError("sigma must be nonempty")
-        for k, s in enumerate(sigma, 1):
-            try:
-                finite = cmath.isfinite(s)
-            except OverflowError:  # an integer beyond the range of doubles
-                finite = False
-            if not finite:
-                raise ValueError("sigma must be finite, sigma_%d is %r" % (k, s))
         if sigma[-1] == 0:
             raise ValueError("sigma_n must be nonzero (points must avoid the origin)")
         set_field(self, "sigma", sigma)
@@ -58,16 +75,9 @@ def to_sym_coords(points) -> SymCoords:
     bitwise identical for every input ordering.  A sigma_k beyond the range of
     doubles is refused, not returned as inf or as a false zero.
     """
-    pts = []
-    for i, p in enumerate(points):
-        try:
-            pts.append(complex(p))
-        except OverflowError:  # an integer beyond the range of doubles
-            raise ValueError("points must be finite, point %d is %r" % (i, p)) from None
+    pts = _finite(points, "points must be finite, point %d is %r")
     if not pts:
         raise ValueError("need at least one point")
-    if not all(cmath.isfinite(p) for p in pts):
-        raise ValueError("points must be finite")
     if any(p == 0 for p in pts):
         raise ValueError("points must be nonzero")
     pts.sort(key=lambda z: (z.real, z.imag))
@@ -83,7 +93,7 @@ def to_sym_coords(points) -> SymCoords:
     if coeffs[-1] == 0:
         raise ValueError("sigma_%d underflows to zero: the points avoid the origin, but their "
                          "product is below the range of doubles" % len(pts))
-    return SymCoords(tuple(coeffs[1:]))
+    return _trusted(SymCoords, sigma=tuple(coeffs[1:]))  # finite and sigma_n != 0
 
 
 def from_sym_coords(coords: SymCoords) -> tuple[complex, ...]:
@@ -101,8 +111,7 @@ def from_sym_coords(coords: SymCoords) -> tuple[complex, ...]:
                             % (len(coords.sigma), ROOTS_LIMIT))
     from .aberth import polyroots  # deferred: only root finding compiles and loads it
 
-    monic = [1 + 0j] + [-complex(x) if k % 2 == 0 else complex(x)
-                        for k, x in enumerate(coords.sigma)]
+    monic = [1 + 0j] + [-x if k % 2 == 0 else x for k, x in enumerate(coords.sigma)]
     out = sorted(polyroots(monic), key=lambda z: (z.real, z.imag))
     if any(r == 0 for r in out):
         raise RootFindingError("root collapsed to zero despite sigma_n != 0")
@@ -119,12 +128,10 @@ def match_multisets(a, b) -> list[tuple[int, int]]:
     1957), O(n^3) in pure Python.  With integer-valued costs every potential
     is exact, so the minimum is too.
     """
-    a = [complex(x) for x in a]
-    b = [complex(x) for x in b]
+    a = _finite(a, "points must be finite, a[%d] is %r")
+    b = _finite(b, "points must be finite, b[%d] is %r")
     if len(a) != len(b):
         raise ValueError("multisets must have equal size")
-    if not all(map(cmath.isfinite, a + b)):
-        raise ValueError("points must be finite")
     try:  # abs itself raises where only the modulus of a difference overflows
         cost = [[abs(x - y) for y in b] for x in a]
         if not all(math.isfinite(c) for row in cost for c in row):

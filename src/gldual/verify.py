@@ -26,13 +26,14 @@ from .bernstein import Component, CycleType, Stratum, _check_degree, enumerate_s
     orbit_stratum_bijection
 from .cohomology import PermutationAction, component_hp, invariant_exterior_dims, \
     orbit_hp_dimension, orbit_poincare, stratum_poincare, tempered_orbit_poincare
+from .errors import LimitExceeded
 from .parameters import LParameter, orbit_of
 from .partitions import multipartitions
 from .qproj import StratumPoint, SymPoint, fiber, project
 from .scalars import ONE, QScalar, q_power, unit
 from .symfun import from_sym_coords, match_multisets, to_sym_coords
 
-__all__ = ["CheckResult", "fiber_reference", "hp_by_walks", "run_all"]
+__all__ = ["CheckResult", "fiber_reference", "hp_by_walks", "run_all", "SAMPLE_LIMIT"]
 
 # The sweeps cover every exponent vector of total up to SWEEP_TOTAL_MAX (the HP
 # sweep only those of at most SWEEP_MAX_BLOCKS blocks); the fiber oracle draws
@@ -44,6 +45,10 @@ FIBER_TOTAL_MAX = 5
 # per degree: on a generic one-block point 0.2 s at degree 5, 85 s at degree 7
 REFERENCE_LIMIT = 5
 ROOT_SEPARATION = 1e-3  # least distance between two roots of a round-trip sample
+# run_all refuses a larger sample count.  500 fiber samples take about 7 s and
+# 200 round trips per degree about 0.6 s on a 2-core VM, so the ceiling allows
+# about 2.5 min of fiber oracle and 31 s of round trips.
+SAMPLE_LIMIT = 10_000
 
 
 class CheckResult(Value):
@@ -386,10 +391,13 @@ def check_symfun_roundtrip(samples_per_degree: int = 200, seed: int = 20250810) 
 def run_all(seed: int = 20250810, fiber_samples: int = 500,
             sym_samples: int = 200) -> list[CheckResult]:
     """Run every acceptance check; the CLI `verify` verb wraps exactly this.
-    Both sample counts must be at least 1, or nothing runs."""
+    Both sample counts must be at least 1 (or ValueError) and at most
+    SAMPLE_LIMIT (or LimitExceeded), or nothing runs."""
     for name, count in (("fiber_samples", fiber_samples), ("sym_samples", sym_samples)):
         if count < 1:
             raise ValueError("%s must be at least 1, got %d" % (name, count))
+        if count > SAMPLE_LIMIT:
+            raise LimitExceeded("%s %d exceeds the sample limit %d" % (name, count, SAMPLE_LIMIT))
     return [
         check_gl2_projection(),
         check_gl3_fiber(),

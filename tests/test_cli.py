@@ -304,11 +304,15 @@ def _phi(rho, j):
     return json.dumps({"summands": [{"rho": rho, "j": j, "twist": {"q_exp": "1", "turn": "0"}}]})
 
 
-_SYMCOORDS_BAD = {"bool-re": '[{"re": true}]', "nan-re": '[{"re": NaN}]',
-                  "infinity-im": '[{"re": 1, "im": Infinity}]', "string-re": '[{"re": "1"}]',
-                  # parsed as inf, and an integer beyond the float range (was a traceback)
-                  "float-overflow-re": '[{"re": 1e400}]',
-                  "int-overflow-re": '[{"re": 1%s}]' % ("0" * 400)}
+# refused by gldual.symfun, which names the point or the sigma index
+_SYMCOORDS_NOT_FINITE = {
+    "nan-re": '[{"re": NaN}]', "infinity-im": '[{"re": 1, "im": Infinity}]',
+    "infinity-re": '[{"re": Infinity}]', "negative-infinity-im": '[{"re": 1, "im": -Infinity}]',
+    # parsed as inf, and integers beyond the float range (was a traceback)
+    "float-overflow-re": '[{"re": 1e400}]', "int-overflow-re": '[{"re": 1%s}]' % ("0" * 400),
+    "negative-int-overflow-re": '[{"re": -1%s}]' % ("0" * 400)}
+_SYMCOORDS_BAD = {"bool-re": '[{"re": true}]', "string-re": '[{"re": "1"}]',
+                  **_SYMCOORDS_NOT_FINITE}
 _SYMCOORDS_FLAGS = ("--points", "--sigma")
 _DEEP = "[" * 100000
 _CARRIER_VERBS = (["temper"], ["homotopy", "--t", "1/2"])
@@ -335,6 +339,23 @@ _MISMATCHED_ARGS = {
     "symcoords-sigma-n-too-large": ["symcoords", "--sigma", '[{"re": 5}, {"re": 6}]',
                                     "--n", "3"],
     "fiber-block-count": ["fiber", "--component", _TWO_BLOCKS, "--point", "{1}"],
+}
+# a JSON value of the wrong type where a flag expects an object or a list: was
+# refused with Python's own message, such as "list indices must be integers or
+# slices, not str"
+_WRONG_JSON_TYPES = {
+    "hp-component-list": (["hp", "--component", "[1]"],
+                          "--component must be a JSON object, got a list"),
+    "temper-input-list": (["temper", "--input", "[1]"],
+                          "--input must be a JSON object, got a list"),
+    "fiber-point-list": (["fiber", "--component", "(2)", "--point", "[1]"],
+                         "--point must be a JSON object, got a list"),
+    "project-point-list": (["project", "--point", "[1]"],
+                           "--point must be a JSON object, got a list"),
+    "symcoords-points-number-entry": (["symcoords", "--points", "[1]"],
+                                      "--points[0] must be a JSON object, got a number"),
+    "symcoords-points-object": (["symcoords", "--points", '{"re":1}'],
+                                "--points must be a JSON list, got an object"),
 }
 _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
                    (["project"], "--point"), (["temper"], "--input"),
@@ -387,6 +408,7 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
     *_NON_STRING_NAMES.values(),
     # argument combinations that only the verbs themselves refuse
     *_MISMATCHED_ARGS.values(),
+    *(argv for argv, _ in _WRONG_JSON_TYPES.values()),
 ], ids=["overflow", "underflow", "q-inf-small", "q-inf-large", "q-nan", "bool-exponent", "bool-dim",
         "bool-cycle-part", "spin-1e400", "t-tiny-exponent", "negative-max-degree",
         "negative-orbits-degree",
@@ -397,13 +419,30 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
         "underscore-shorthand-q-exp",
         *("deep-json-%s-%s" % (verb[0], flag[2:]) for verb, flag in _DEEP_JSON_ARGS),
         *("%s-rho-%s" % (verb[0], name) for verb in _CARRIER_VERBS for name in _RHO_BAD),
-        *_NON_STRING_NAMES, *_MISMATCHED_ARGS])
+        *_NON_STRING_NAMES, *_MISMATCHED_ARGS, *_WRONG_JSON_TYPES])
 def test_boundary_inputs_are_validation_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert _strict_json(captured.out)["error"]["type"] == "validation"
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_JSON_TYPES))
+def test_wrong_json_types_are_refused_by_flag(capsys, name):
+    argv, message = _WRONG_JSON_TYPES[name]
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert report["error"] == {"type": "validation", "message": message}
+
+
+@pytest.mark.parametrize("flag, prefix", [("--points", "points must be finite, point 0 is "),
+                                          ("--sigma", "sigma must be finite, sigma_1 is ")])
+@pytest.mark.parametrize("name", sorted(_SYMCOORDS_NOT_FINITE))
+def test_non_finite_symcoords_input_is_refused_by_position(capsys, name, flag, prefix):
+    code, report, _ = run_cli(capsys, "symcoords", flag, _SYMCOORDS_NOT_FINITE[name])
+    assert code == 2
+    assert report["error"]["message"].startswith(prefix)
 
 
 @pytest.mark.parametrize("name", sorted(_NON_STRING_NAMES))
@@ -506,6 +545,17 @@ def test_verify_refuses_sample_counts_below_one(capsys, monkeypatch, counts):
     assert code == 2
     assert report["error"]["type"] == "validation"
     assert "samples must be at least 1, got " in report["error"]["message"]
+
+
+@pytest.mark.parametrize("flag, name", [("--fiber-samples", "fiber_samples"),
+                                        ("--sym-samples", "sym_samples")])
+def test_verify_refuses_sample_counts_above_the_limit(capsys, monkeypatch, flag, name):
+    # refused with exit 3 before any check runs: a check that ran would exit 4
+    monkeypatch.setattr("gldual.verify.check_gl2_projection", _raise_runtime_error)
+    code, report, _ = run_cli(capsys, "verify", flag, "10001")
+    assert code == 3
+    assert report["error"] == {
+        "type": "limit", "message": "%s 10001 exceeds the sample limit 10000" % name}
 
 
 def test_an_unexpected_exception_is_an_internal_error_with_code_4(capsys, monkeypatch):

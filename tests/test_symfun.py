@@ -197,14 +197,22 @@ def test_point_beyond_doubles_is_named():
         to_sym_coords([1, -10**400])
 
 
-@pytest.mark.parametrize("point", [float("nan"), float("inf"), complex(1, float("-inf"))])
-def test_non_finite_points_refused(point):
-    # was "sigma_1 overflows the range of doubles", which blames the arithmetic
-    # for a point that was never finite; match_multisets names the point
-    with pytest.raises(ValueError, match=r"^points must be finite$"):
-        to_sym_coords([point, 1])
-    with pytest.raises(ValueError, match=r"^points must be finite$"):
-        match_multisets([point, 1], [1, 2])
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), complex(1, float("-inf")), 1e400, 10 ** 400, -10 ** 400,
+], ids=["nan", "inf", "(1-infj)", "1e400", "10**400", "-10**400"])
+def test_non_finite_points_refused(value):
+    # one rule for every input of the module: the first value that is not a finite
+    # double is refused by position and value.  Was "points must be finite" with no
+    # position for NaN and inf, and OverflowError from match_multisets for 10**400.
+    shown = re.escape(repr(value))
+    for refused, message in [
+        (lambda: SymCoords((1, value)), "sigma must be finite, sigma_2 is "),
+        (lambda: to_sym_coords([1, value]), "points must be finite, point 1 is "),
+        (lambda: match_multisets([value], [1]), r"points must be finite, a\[0\] is "),
+        (lambda: match_multisets([1], [value]), r"points must be finite, b\[0\] is "),
+    ]:
+        with pytest.raises(ValueError, match="^%s%s$" % (message, shown)):
+            refused()
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), complex(1, float("-inf")),

@@ -32,6 +32,20 @@ def test_run_all_wiring_with_reduced_samples():
         assert set(data) >= {"name", "passed", "detail", "seconds"}
 
 
+@pytest.mark.parametrize("counts", [{"fiber_samples": verify.SAMPLE_LIMIT + 1},
+                                    {"sym_samples": verify.SAMPLE_LIMIT + 1},
+                                    {"fiber_samples": 10 ** 8}])
+def test_run_all_refuses_sample_counts_above_the_limit(monkeypatch, counts):
+    # a count at the limit runs for minutes, so only the refusal is tested
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_gl2_projection", unreachable)
+    with pytest.raises(LimitExceeded, match=r"^(fiber|sym)_samples \d+ exceeds the sample limit "
+                                            r"10000$"):
+        verify.run_all(**counts)
+
+
 def test_centered_string_is_symmetric_under_full_sign_flip():
     # inverting every shift maps a centered string to itself, so that flip is
     # invisible; the step sign below is the flip the harness must catch
