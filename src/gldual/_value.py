@@ -7,7 +7,8 @@ strata and orbit walks, the fiber search, `parameters.orbit_of`, and the
 retraction and homotopy of a parameter.  The methods derived here compare
 and hash the tuple of those fields; they are closures over one
 `operator.attrgetter` per class, so defining a class generates and compiles
-no code.
+no code.  The `from_json` constructors refuse a JSON value of the wrong type
+through `_json_of_type` and `_json_objects`, by name, as the command line does.
 """
 
 from operator import attrgetter, ge, gt, le, lt
@@ -24,6 +25,26 @@ def _trusted(cls, **fields):
     for name, value in fields.items():
         set_field(obj, name, value)
     return obj
+
+
+# what a refusal says it got, for each type that json.loads returns
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _json_of_type(value, where: str, expected: type):
+    """`value` if it is of the `expected` type, dict or list; otherwise refused."""
+    if type(value) is not expected:
+        raise ValueError("%s must be a JSON %s, got %s" % (
+            where, "object" if expected is dict else "list",
+            _JSON_TYPES.get(type(value), "a " + type(value).__name__)))
+    return value
+
+
+def _json_objects(value, where: str):
+    """The entries of the JSON list `value`, each refused when reached unless an object."""
+    return (_json_of_type(d, "%s[%d]" % (where, i), dict)
+            for i, d in enumerate(_json_of_type(value, where, list)))
 
 
 def _frozen(self, name, value=None):

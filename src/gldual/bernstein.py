@@ -13,14 +13,15 @@ entries, sharing one class per (block, part), and an orbit concatenates its
 blocks' entries; both read runs of equal parts from `part_multiplicities`.
 The walk's output is valid by construction, so it is made by the unchecked
 `_value._trusted`; the public constructors and every `from_json` still
-check their input.
+check their input.  A walk has no degree limit: `multipartitions` refuses one
+of more than OUTPUT_LIMIT items by its count, before anything is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _trusted, set_field
+from ._value import Value, _json_objects, _trusted, set_field
 from .errors import LimitExceeded
 from .parameters import InertialClass, OrbitDescriptor, WeilLabel
 from .partitions import multipartitions, part_multiplicities, partitions
@@ -31,15 +32,10 @@ __all__ = [
     "Component",
     "CycleType",
     "Stratum",
-    "STRATA_LIMIT",
     "enumerate_strata",
     "enumerate_orbits",
     "orbit_stratum_bijection",
 ]
-
-# Default degree limit of the strata and orbit walks; HP walks nothing and
-# takes it as its default only, under the ceiling HP_LIMIT.
-STRATA_LIMIT = 20
 
 
 class Block(Value):
@@ -103,7 +99,7 @@ class Component(Value):
                     exact_int(b["exponent"], "exponent"),
                     exact_rational(b.get("q_scale", 1), "q_scale"),
                 )
-                for b in data["blocks"]
+                for b in _json_objects(data["blocks"], "blocks")
             )
         )
 
@@ -189,14 +185,14 @@ class Stratum(Value):
 
 def _check_degree(component: Component, limit: int, name: str = "the limit") -> None:
     """Refuse a component of degree above `limit` with LimitExceeded: the one degree
-    guard of strata, orbits, HP and the fiber reference, and of `project`'s image."""
+    guard of `--max-degree`, HP_LIMIT, the fiber reference and `project`'s image."""
     if component.degree > limit:
         raise LimitExceeded("component degree %d exceeds %s %d" % (component.degree, name, limit))
 
 
-def enumerate_strata(component: Component, max_degree: int = STRATA_LIMIT) -> list[Stratum]:
-    """All strata of the extended quotient, one per multipartition, in canonical order."""
-    _check_degree(component, max_degree)
+def enumerate_strata(component: Component) -> list[Stratum]:
+    """All strata of the extended quotient, one per multipartition, in canonical order;
+    more than OUTPUT_LIMIT of them are refused by their count, before any is built."""
     # multipartitions yields one weakly decreasing partition of e_i per block
     return [
         _trusted(Stratum, component=component,
@@ -230,16 +226,14 @@ def _orbits_for(component: Component, strata: list[Stratum]) -> list[OrbitDescri
             for s in strata]
 
 
-def enumerate_orbits(
-    component: Component, max_degree: int = STRATA_LIMIT
-) -> list[OrbitDescriptor]:
+def enumerate_orbits(component: Component) -> list[OrbitDescriptor]:
     """All parameter orbits over the component.
 
     A part alpha of the partition of block i contributes the inertial class
     (label_i, spin((alpha-1)/2)) with the part's multiplicity; the orbits are
     enumerated in the same multipartition order as the strata.
     """
-    return _orbits_for(component, enumerate_strata(component, max_degree))
+    return _orbits_for(component, enumerate_strata(component))
 
 
 def orbit_stratum_bijection(component: Component) -> list[tuple[OrbitDescriptor, Stratum]]:

@@ -15,10 +15,10 @@ Each verb imports the modules it runs inside its handler and parse helpers,
 so a process pays for its own verb only: `symcoords`, for one, loads neither
 the exact layers nor `fractions`.  Likewise a process builds the argparse
 subparser of its own verb only; help, no verb and an unknown verb build all
-nine.  A `--max-degree` left out is not passed on, and the library's own
-default limit applies.  `project`, `fiber` and `symcoords` have no
-`--max-degree`: the first two are bounded by the size of their output,
-`OUTPUT_LIMIT` scalars, and `symcoords --sigma` by the fixed `ROOTS_LIMIT`.
+nine.  `--max-degree` of `strata`, `orbits` and `hp`, `STRATA_LIMIT` when left
+out, is this command line's own check.  The library bounds every walk by its
+count, `OUTPUT_LIMIT` items, HP by `HP_LIMIT`, `project` and `fiber` by their
+output, `OUTPUT_LIMIT` scalars, and `symcoords --sigma` by `ROOTS_LIMIT`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,10 @@ import argparse
 import json
 import sys
 
+from ._value import _json_objects, _json_of_type
 from .errors import LimitExceeded, RootFindingError
+
+STRATA_LIMIT = 20  # the default of --max-degree on strata, orbits and hp
 
 
 def _load_text(value: str) -> str:
@@ -37,19 +40,6 @@ def _load_text(value: str) -> str:
                 return fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ValueError("cannot read %s: %s" % (value[1:], exc)) from exc
-    return value
-
-
-# what a refusal says it got, for each type that json.loads returns
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
-               float: "a number", bool: "a boolean", type(None): "null"}
-
-
-def _json_of_type(value, where: str, expected: type):
-    """`value` if it is of the `expected` type, dict or list; otherwise refused."""
-    if type(value) is not expected:
-        raise ValueError("%s must be a JSON %s, got %s" % (
-            where, "object" if expected is dict else "list", _JSON_TYPES[type(value)]))
     return value
 
 
@@ -126,43 +116,45 @@ def _json_float(value, name: str) -> float:
 def _parse_complex_list(text: str, flag: str) -> list[complex]:
     """A JSON list of {re, im} objects (im defaults to 0) as complex numbers; NaN
     and infinities are left for `gldual.symfun` to refuse."""
-    out = []
-    for i, d in enumerate(_decode_json(_load_text(text), flag, list)):
-        _json_of_type(d, "%s[%d]" % (flag, i), dict)
-        out.append(complex(_json_float(d["re"], "re"), _json_float(d.get("im", 0.0), "im")))
-    return out
+    return [complex(_json_float(d.get("re"), "re"), _json_float(d.get("im", 0.0), "im"))
+            for d in _json_objects(_decode_json(_load_text(text), flag, list), flag)]
 
 
 def _complex_json(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _limit(args) -> dict:
-    """`--max-degree` as the library keyword, or nothing when it was left out."""
-    return {} if args.max_degree is None else {"max_degree": args.max_degree}
+def _bounded_component(args):
+    """`--component`, refused above `--max-degree`, which is refused if negative first."""
+    from .bernstein import _check_degree
+
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be nonnegative, got %d" % args.max_degree)
+    component = _parse_component(args.component)
+    _check_degree(component, args.max_degree)
+    return component
 
 
 def _cmd_strata(args) -> tuple[int, dict]:
     from .bernstein import enumerate_strata
 
-    component = _parse_component(args.component)
-    strata = enumerate_strata(component, **_limit(args))
+    component = _bounded_component(args)
+    strata = enumerate_strata(component)
     return 0, {"component": component.to_json(), "strata": [s.to_json() for s in strata]}
 
 
 def _cmd_orbits(args) -> tuple[int, dict]:
     from .bernstein import enumerate_orbits
 
-    component = _parse_component(args.component)
-    orbits = enumerate_orbits(component, **_limit(args))
+    component = _bounded_component(args)
+    orbits = enumerate_orbits(component)
     return 0, {"component": component.to_json(), "orbits": [o.to_json() for o in orbits]}
 
 
 def _cmd_hp(args) -> tuple[int, dict]:
     from .cohomology import orbit_hp_dimension
 
-    component = _parse_component(args.component)
-    d = orbit_hp_dimension(component, **_limit(args))
+    d = orbit_hp_dimension(_bounded_component(args))
     return 0, {"hp0": d, "hp1": d, "orbit_dim": d}
 
 
@@ -266,9 +258,9 @@ def _cmd_verify(args) -> tuple[int, dict]:
     return (0 if passed else 1), {"passed": passed, "checks": [r.to_json() for r in results]}
 
 
-# default None for --max-degree: the handler then leaves the library's own limit in force
 _DEGREE = "refuse a component of higher degree (default: %s)"
-_STRATA_DEGREE = ("--max-degree", {"type": int, "help": _DEGREE % "STRATA_LIMIT"})
+_STRATA_DEGREE = ("--max-degree", {"type": int, "default": STRATA_LIMIT,
+                                   "help": _DEGREE % "STRATA_LIMIT"})
 _COMPONENT = ("--component", {
     "required": True, "help": "component JSON, @file, or exponent shorthand like '(2,1)'"})
 _CARRIER = ("--input", {"required": True, "help": "parameter or stratum point JSON"})
@@ -278,8 +270,8 @@ _CARRIER = ("--input", {"required": True, "help": "parameter or stratum point JS
 _VERBS = {
     "strata": ("extended-quotient strata", _cmd_strata, [_COMPONENT, _STRATA_DEGREE]),
     "orbits": ("parameter orbits over a component", _cmd_orbits, [_COMPONENT, _STRATA_DEGREE]),
-    "hp": ("periodic cyclic homology dimensions", _cmd_hp, [_COMPONENT, (
-        "--max-degree", {"type": int, "help": _DEGREE % "STRATA_LIMIT; never above HP_LIMIT"})]),
+    "hp": ("periodic cyclic homology dimensions", _cmd_hp, [_COMPONENT, ("--max-degree", dict(
+        _STRATA_DEGREE[1], help=_DEGREE % "STRATA_LIMIT; never above HP_LIMIT"))]),
     "project": ("apply the q-projection to a stratum point", _cmd_project, [
         ("--point", {"help": "stratum point JSON or @file"}),
         ("--component", {"help": "shorthand alternative to --point"}),
@@ -338,8 +330,6 @@ def main(argv=None) -> int:
         _emit_error("validation", "invalid arguments")
         return 2
     try:
-        if (getattr(args, "max_degree", None) or 0) < 0:
-            raise ValueError("--max-degree must be nonnegative, got %d" % args.max_degree)
         code, report = _VERBS[args.command][1](args)
         text = _dumps(report)
     except LimitExceeded as exc:

@@ -25,15 +25,13 @@ import math
 from fractions import Fraction
 
 from ._value import Value, set_field
-from .bernstein import STRATA_LIMIT, Component, Stratum, _check_degree
-from .errors import LimitExceeded
+from .bernstein import Component, Stratum, _check_degree
 from .parameters import OrbitDescriptor
 from .partitions import centralizer_order, multipartitions, overpartition_count
 
 __all__ = [
     "PoincarePolynomial",
     "PermutationAction",
-    "RANK_LIMIT",
     "HP_LIMIT",
     "invariant_exterior_dims",
     "stratum_poincare",
@@ -43,9 +41,8 @@ __all__ = [
     "tempered_orbit_poincare",
 ]
 
-RANK_LIMIT = 20
-# HP refuses components above this degree whatever max_degree says: filling
-# the overpartition table up to n takes O(n^1.5) steps, about 21,000 for 1000
+# HP refuses components above this degree: filling the overpartition table up
+# to n takes O(n^1.5) steps, about 21,000 for 1000
 HP_LIMIT = 1000
 
 
@@ -99,11 +96,11 @@ def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
 
     Averages det(I + t * P_g) over the acting group, one conjugacy class
     (= one cycle type per block) at a time with weight 1/centralizer_order.
+    More than OUTPUT_LIMIT classes are refused by their count, before the walk.
     """
-    if action.rank > RANK_LIMIT:
-        raise LimitExceeded("rank %d exceeds the limit %d" % (action.rank, RANK_LIMIT))
+    classes = multipartitions(action.blocks)
     total = [Fraction(0)] * (action.rank + 1)
-    for cycle_types in multipartitions(action.blocks):
+    for cycle_types in classes:
         weight = Fraction(1)
         poly = [1]
         for lam in cycle_types:
@@ -139,15 +136,12 @@ def component_hp(component: Component) -> tuple[int, int]:
     return d, d
 
 
-def orbit_hp_dimension(component: Component, max_degree: int = STRATA_LIMIT) -> int:
+def orbit_hp_dimension(component: Component) -> int:
     """The dimension formula sum(2^(k-1)) over the component's parameter orbits,
     in closed form: prod(p̄(e_i)) / 2 over its exponents.
 
-    A component of degree above `max_degree`, or above HP_LIMIT whatever
-    `max_degree` says, is refused with LimitExceeded.
+    A component of degree above HP_LIMIT is refused with LimitExceeded.
     """
-    # max_degree first, so a refusal under it keeps the message of every limit
-    _check_degree(component, max_degree)
     _check_degree(component, HP_LIMIT, "the ceiling HP_LIMIT")
     return math.prod(map(overpartition_count, component.exponents)) // 2
 

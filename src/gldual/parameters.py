@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from ._value import Value, _trusted, set_field
+from ._value import Value, _json_objects, _json_of_type, _trusted, set_field
 from .scalars import ONE, QScalar, _fraction, exact_int, exact_rational
 
 __all__ = [
@@ -141,8 +141,9 @@ class LParameter(Value):
     def from_json(cls, data: dict) -> LParameter:
         return cls(
             tuple(
-                (InertialClass.from_json(s), QScalar.from_json(s["twist"]))
-                for s in data["summands"]
+                (InertialClass.from_json(s),
+                 QScalar.from_json(_json_of_type(s["twist"], "twist", dict)))
+                for s in _json_objects(data["summands"], "summands")
             )
         )
 

@@ -44,8 +44,8 @@ def _count(n: int) -> int:
     return _PARTITIONS[n]
 
 
-# one entry per n walked: at most 21 (n <= 20) at the default limits, and at most
-# 40 (n <= 39) whatever --max-degree says, since a larger n is refused by its count
+# one entry per n walked: at most 40 (n <= 39), since a larger n is refused by
+# its count; 21 (n <= 20) under the command line's default --max-degree
 @functools.lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """The partitions of n in canonical (lexicographic) order, built once per n;
@@ -71,8 +71,8 @@ def multipartitions(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
     return itertools.product(*map(partitions, sizes))
 
 
-# one entry per partition seen: the walks reach at most 2,713 (the sum of p(n),
-# 1 <= n <= 20) at the default limits, and 177,969 (n <= 39) under any --max-degree
+# one entry per partition seen: the walks reach at most 177,969 (the sum of p(n),
+# 1 <= n <= 39), and 2,713 (n <= 20) under the command line's default --max-degree
 @functools.lru_cache(maxsize=None)
 def part_multiplicities(partition: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(part, multiplicity) pairs of a partition, parts in decreasing order."""

@@ -25,7 +25,7 @@ import functools
 import math
 from fractions import Fraction
 
-from ._value import Value, _trusted, set_field
+from ._value import Value, _json_objects, _json_of_type, _trusted, set_field
 from .bernstein import Component, CycleType, Stratum, _check_degree
 from .errors import LimitExceeded
 from .partitions import OUTPUT_LIMIT
@@ -38,7 +38,6 @@ __all__ = [
     "q_string",
     "project",
     "fiber",
-    "verify_section",
 ]
 
 class SymPoint(Value):
@@ -54,7 +53,8 @@ class SymPoint(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> SymPoint:
-        return cls(tuple(tuple(QScalar.from_json(z) for z in b) for b in data["blocks"]))
+        return cls(tuple(tuple(map(QScalar.from_json, _json_objects(b, "blocks[%d]" % i)))
+                         for i, b in enumerate(_json_of_type(data["blocks"], "blocks", list))))
 
 
 class StratumPoint(Value):
@@ -233,8 +233,3 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
                                coords=tuple(map(coordinate, ranks, lengths)))
                       for ranks in sorted(found[shape]))
     return points
-
-
-def verify_section(point: StratumPoint) -> bool:
-    """Round-trip soundness: the point occurs in the fiber over its own image."""
-    return point in fiber(project(point), point.stratum.component)

@@ -190,13 +190,14 @@ def test_multiblock_residual_blocks_concatenate():
     assert s.torus_rank == 4
 
 
-def test_degree_limit_enforced():
+def test_walks_are_bounded_by_their_count_alone():
+    # no degree limit: p(21) = 792 strata, orbits and pairs; p(40) is refused by its count
     c = Component.from_exponents((21,))
-    with pytest.raises(LimitExceeded):
-        enumerate_strata(c)
-    with pytest.raises(LimitExceeded):
-        enumerate_orbits(c)
-    assert len(enumerate_strata(c, max_degree=21)) == partition_count(21)
+    assert len(enumerate_strata(c)) == len(enumerate_orbits(c)) == partition_count(21) == 792
+    assert len(orbit_stratum_bijection(c)) == 792
+    for walk in (enumerate_strata, enumerate_orbits, orbit_stratum_bijection):
+        with pytest.raises(LimitExceeded, match="the partitions of 40 exceed the output limit"):
+            walk(Component.from_exponents((40,)))
 
 
 def test_component_validation():

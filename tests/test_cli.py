@@ -356,6 +356,23 @@ _WRONG_JSON_TYPES = {
                                       "--points[0] must be a JSON object, got a number"),
     "symcoords-points-object": (["symcoords", "--points", '{"re":1}'],
                                 "--points must be a JSON list, got an object"),
+    # nested fields: were Python's own TypeError and KeyError messages
+    "hp-block-number": (["hp", "--component", '{"blocks": [1]}'],
+                        "blocks[0] must be a JSON object, got a number"),
+    "hp-blocks-number": (["hp", "--component", '{"blocks": 1}'],
+                         "blocks must be a JSON list, got a number"),
+    "temper-summand-number": (["temper", "--input", '{"summands": [1]}'],
+                              "summands[0] must be a JSON object, got a number"),
+    "symcoords-points-missing-re": (["symcoords", "--points", "[{}]"],
+                                    "re must be a JSON number, got None"),
+    "temper-twist-number": (["temper", "--input", json.dumps(
+        {"summands": [{"rho": {"id": "a"}, "j": "0", "twist": 1}]})],
+                            "twist must be a JSON object, got a number"),
+    "fiber-point-block-number": (["fiber", "--component", "(1)", "--point", '{"blocks": [1]}'],
+                                 "blocks[0] must be a JSON list, got a number"),
+    "fiber-point-scalar-list": (["fiber", "--component", "(1)", "--point",
+                                 '{"blocks": [[[1]]]}'],
+                                "blocks[0][0] must be a JSON object, got a list"),
 }
 _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
                    (["project"], "--point"), (["temper"], "--input"),

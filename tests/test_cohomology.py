@@ -2,12 +2,14 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gldual.partitions
 from gldual.bernstein import Component, enumerate_orbits, enumerate_strata, \
     orbit_stratum_bijection
 from gldual.cli import main
@@ -179,9 +181,30 @@ def test_leading_coefficient_always_one():
         assert all(c >= 0 for c in poly.coeffs)
 
 
-def test_rank_limit():
-    with pytest.raises(LimitExceeded):
-        invariant_exterior_dims(PermutationAction((21,)))
+def test_molien_walks_are_refused_by_their_count_before_any_walk(monkeypatch):
+    # p(40) = 37,338 and p(20) p(19) = 307,230 classes exceed OUTPUT_LIMIT
+    def walk(n, max_part):
+        raise AssertionError("walked the partitions of %d" % n)
+        yield
+
+    monkeypatch.setattr(gldual.partitions, "_bounded", walk)
+    for blocks, message in [((40,), "the partitions of 40 exceed"),
+                            ((20, 19), "307230 multipartitions exceed")]:
+        with pytest.raises(LimitExceeded, match=message):
+            invariant_exterior_dims(PermutationAction(blocks))
+
+
+def test_a_refused_molien_walk_allocates_nothing_for_its_rank():
+    # the count is read before the rank-sized table is built, which at rank
+    # 10^7 would take 80 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceeded, match="the partitions of 10000000 exceed"):
+            invariant_exterior_dims(PermutationAction((10 ** 7,)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 def test_poincare_polynomial_normalization():

@@ -78,16 +78,15 @@ def test_only_the_verify_verb_loads_the_regression_suite():
 # home module -> the public names `gldual` re-exports from it
 SURFACE = {
     "bernstein": ["Block", "Component", "CycleType", "Stratum", "enumerate_orbits",
-                  "enumerate_strata", "orbit_stratum_bijection", "STRATA_LIMIT"],
+                  "enumerate_strata", "orbit_stratum_bijection"],
     "cohomology": ["PermutationAction", "PoincarePolynomial", "component_hp",
                    "invariant_exterior_dims", "orbit_hp_dimension", "orbit_poincare",
-                   "stratum_poincare", "tempered_orbit_poincare", "RANK_LIMIT", "HP_LIMIT"],
+                   "stratum_poincare", "tempered_orbit_poincare", "HP_LIMIT"],
     "errors": ["LimitExceeded", "RootFindingError"],
     "parameters": ["InertialClass", "LParameter", "OrbitDescriptor", "WeilLabel", "dimension",
                    "is_discrete_series", "is_supercuspidal", "is_tempered", "orbit_of",
                    "orbit_shape", "steinberg_parameter", "TRIVIAL"],
-    "qproj": ["StratumPoint", "SymPoint", "fiber", "project", "q_string", "verify_section",
-              "OUTPUT_LIMIT"],
+    "qproj": ["StratumPoint", "SymPoint", "fiber", "project", "q_string", "OUTPUT_LIMIT"],
     "retract": ["homotopy", "homotopy_point", "temper_parameter", "temper_point"],
     "scalars": ["ONE", "QScalar", "q_power", "unit", "exact_int", "exact_rational",
                 "MAX_DECIMAL_EXPONENT"],
