@@ -2,13 +2,15 @@
 
 A subclass lists its fields in `_fields` and writes its own `__init__`, which
 checks the arguments and stores each field with `set_field`.  Code whose
-output is valid by construction skips that check through `_trusted`: the
-strata and orbit walks, the fiber search, `parameters.orbit_of`, and the
-retraction and homotopy of a parameter.  The methods derived here compare
-and hash the tuple of those fields; they are closures over one
+output is valid by construction skips that check through `Cls._trusted(*fields)`,
+a positional constructor made with each class of one or two fields (the only
+ones built unchecked); it is None for a class of more fields, and for one
+whose constructor stores more than its fields.  The methods derived here
+compare and hash the tuple of those fields; they are closures over one
 `operator.attrgetter` per class, so defining a class generates and compiles
 no code.  The `from_json` constructors refuse a JSON value of the wrong type
-through `_json_of_type` and `_json_objects`, by name, as the command line does.
+or a missing member through `_json_of_type`, `_json_field` and
+`_json_objects`, by its JSON path, as the command line does.
 """
 
 from operator import attrgetter, ge, gt, le, lt
@@ -17,14 +19,6 @@ from operator import attrgetter, ge, gt, le, lt
 # it keeps the attributes inline in the instance, which is smaller and faster
 # to read than a materialised dict.
 set_field = object.__setattr__
-
-
-def _trusted(cls, **fields):
-    """An instance of the value class `cls` with `fields` set as given, unchecked."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        set_field(obj, name, value)
-    return obj
 
 
 # what a refusal says it got, for each type that json.loads returns
@@ -41,6 +35,17 @@ def _json_of_type(value, where: str, expected: type):
     return value
 
 
+def _json_field(data: dict, key: str, expected: type = None, prefix: str = ""):
+    """The member `key` of the JSON object `data`, whose path is `prefix` (empty
+    or ending in a dot), refused by its path `prefix + key` when missing or, given
+    the `expected` type (dict or list), not of that type.  A member handed on to
+    `_json_objects` is read with no `expected` type, since that checks the list."""
+    if key not in data:
+        raise ValueError("%s is missing" % (prefix + key))
+    value = data[key]
+    return value if expected is None else _json_of_type(value, prefix + key, expected)
+
+
 def _json_objects(value, where: str):
     """The entries of the JSON list `value`, each refused when reached unless an object."""
     return (_json_of_type(d, "%s[%d]" % (where, i), dict)
@@ -50,6 +55,30 @@ def _json_objects(value, where: str):
 def _frozen(self, name, value=None):
     raise AttributeError("%s is immutable: cannot set or delete %r"
                          % (type(self).__qualname__, name))
+
+
+def _unchecked(cls):
+    """`cls._trusted`: an instance of `cls` with its one or two fields set
+    positionally, unchecked; None for a class of more fields."""
+    new = object.__new__
+    if len(cls._fields) == 1:
+        (name,) = cls._fields
+
+        def _trusted(value):
+            obj = new(cls)
+            set_field(obj, name, value)
+            return obj
+    elif len(cls._fields) == 2:
+        first, second = cls._fields
+
+        def _trusted(a, b):
+            obj = new(cls)
+            set_field(obj, first, a)
+            set_field(obj, second, b)
+            return obj
+    else:
+        return None
+    return staticmethod(_trusted)
 
 
 class Value:
@@ -75,6 +104,7 @@ class Value:
             return hash(key(self))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls._trusted = _unchecked(cls)
         if order:
             def compare(op):
                 def method(self, other):

@@ -7,21 +7,24 @@ strata of the extended quotient are indexed by multipartitions: one partition
 of e_i per block.  The same multipartitions index the parameter orbits lying
 over the component, via the dictionary part alpha <-> spin((alpha-1)/2).
 
-Orbits are assembled from the strata walk, not built one by one: each block
-gets one table from its partitions to their (inertial class, multiplicity)
-entries, sharing one class per (block, part), and an orbit concatenates its
-blocks' entries; both read runs of equal parts from `part_multiplicities`.
-The walk's output is valid by construction, so it is made by the unchecked
-`_value._trusted`; the public constructors and every `from_json` still
-check their input.  A walk has no degree limit: `multipartitions` refuses one
-of more than OUTPUT_LIMIT items by its count, before anything is built.
+Orbits are assembled from the multipartitions, not built one by one: each
+block gets one table from its partitions to their (inertial class,
+multiplicity) entries, sharing one class per (block, part), and an orbit
+concatenates its blocks' entries; both read runs of equal parts from
+`part_multiplicities`.  `enumerate_orbits` walks the multipartitions itself
+and builds no stratum.  The walks' output is valid by construction, so it is
+made by the unchecked positional constructors `Stratum._trusted`,
+`CycleType._trusted` and `OrbitDescriptor._trusted`; the public constructors
+and every `from_json` still check their input.  A walk has no degree limit:
+`multipartitions` refuses one of more than OUTPUT_LIMIT items by its count,
+before anything is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _json_objects, _trusted, set_field
+from ._value import Value, _json_field, _json_objects, _json_of_type, set_field
 from .errors import LimitExceeded
 from .parameters import InertialClass, OrbitDescriptor, WeilLabel
 from .partitions import multipartitions, part_multiplicities, partitions
@@ -91,7 +94,9 @@ class Component(Value):
         return {"blocks": out}
 
     @classmethod
-    def from_json(cls, data: dict) -> Component:
+    def from_json(cls, data: dict, prefix: str = "") -> Component:
+        """The component of the JSON object `data`, whose path is `prefix` (empty
+        or ending in a dot): a wrong `blocks` is refused by its full path."""
         return cls(
             tuple(
                 Block(
@@ -99,7 +104,8 @@ class Component(Value):
                     exact_int(b["exponent"], "exponent"),
                     exact_rational(b.get("q_scale", 1), "q_scale"),
                 )
-                for b in _json_objects(data["blocks"], "blocks")
+                for b in _json_objects(_json_field(data, "blocks", prefix=prefix),
+                                       prefix + "blocks")
             )
         )
 
@@ -150,7 +156,7 @@ class Stratum(Value):
     @property
     def torus_rank(self) -> int:
         """Complex dimension of the fixed torus: total number of cycles."""
-        return sum(len(p) for p in self.cycle_type.parts_per_block)
+        return sum(map(len, self.cycle_type.parts_per_block))
 
     def residual_blocks(self) -> tuple[int, ...]:
         """Multiplicity of each (block, part-size) pair in canonical order: the
@@ -175,12 +181,9 @@ class Stratum(Value):
 
     @classmethod
     def from_json(cls, data: dict, component: Component) -> Stratum:
-        return cls(
-            component,
-            CycleType(
-                tuple(tuple(exact_int(x, "cycle part") for x in p) for p in data["cycle_type"])
-            ),
-        )
+        return cls(component, CycleType(tuple(
+            tuple(exact_int(x, "cycle part") for x in _json_of_type(p, "cycle_type[%d]" % i, list))
+            for i, p in enumerate(_json_field(data, "cycle_type", list)))))
 
 
 def _check_degree(component: Component, limit: int, name: str = "the limit") -> None:
@@ -193,16 +196,13 @@ def _check_degree(component: Component, limit: int, name: str = "the limit") -> 
 def enumerate_strata(component: Component) -> list[Stratum]:
     """All strata of the extended quotient, one per multipartition, in canonical order;
     more than OUTPUT_LIMIT of them are refused by their count, before any is built."""
+    stratum, cycle_type = Stratum._trusted, CycleType._trusted
     # multipartitions yields one weakly decreasing partition of e_i per block
-    return [
-        _trusted(Stratum, component=component,
-                 cycle_type=_trusted(CycleType, parts_per_block=mp))
-        for mp in multipartitions(component.exponents)
-    ]
+    return [stratum(component, cycle_type(mp)) for mp in multipartitions(component.exponents)]
 
 
-def _orbits_for(component: Component, strata: list[Stratum]) -> list[OrbitDescriptor]:
-    """The orbit of each stratum, in canonical class order.
+def _orbits_for(component: Component, mps) -> list[OrbitDescriptor]:
+    """The orbit of each multipartition of the component's exponents, in canonical class order.
 
     A block's entries depend only on its own partition, so each block gets one
     table partition -> ((class, multiplicity), ...) with parts, hence spins,
@@ -221,9 +221,8 @@ def _orbits_for(component: Component, strata: list[Stratum]) -> list[OrbitDescri
                          for part, mult in reversed(part_multiplicities(parts)))
             for parts in partitions(block.exponent)
         }))
-    return [_trusted(OrbitDescriptor, classes=sum(
-                [table[s.cycle_type.parts_per_block[i]] for i, table in tables], ()))
-            for s in strata]
+    orbit = OrbitDescriptor._trusted
+    return [orbit(sum([table[mp[i]] for i, table in tables], ())) for mp in mps]
 
 
 def enumerate_orbits(component: Component) -> list[OrbitDescriptor]:
@@ -231,12 +230,14 @@ def enumerate_orbits(component: Component) -> list[OrbitDescriptor]:
 
     A part alpha of the partition of block i contributes the inertial class
     (label_i, spin((alpha-1)/2)) with the part's multiplicity; the orbits are
-    enumerated in the same multipartition order as the strata.
+    enumerated in the same multipartition order as the strata, from one walk
+    of the multipartitions that builds no stratum.
     """
-    return _orbits_for(component, enumerate_strata(component))
+    return _orbits_for(component, multipartitions(component.exponents))
 
 
 def orbit_stratum_bijection(component: Component) -> list[tuple[OrbitDescriptor, Stratum]]:
     """Pair each orbit with the stratum arising from the same multipartition."""
     strata = enumerate_strata(component)
-    return list(zip(_orbits_for(component, strata), strata))
+    return list(zip(_orbits_for(component, [s.cycle_type.parts_per_block for s in strata]),
+                    strata))

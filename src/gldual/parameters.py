@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from ._value import Value, _json_objects, _json_of_type, _trusted, set_field
+from ._value import Value, _json_field, _json_objects, set_field
 from .scalars import ONE, QScalar, _fraction, exact_int, exact_rational
 
 __all__ = [
@@ -61,7 +61,11 @@ TRIVIAL = WeilLabel("triv", 1, True)
 
 
 class InertialClass(Value):
-    """rho tensor spin(j): an irreducible parameter up to unramified twist."""
+    """rho tensor spin(j): an irreducible parameter up to unramified twist.
+
+    The constructor also keeps j as its JSON text, in `_j`, which is not a
+    field: equality, hash and repr read `rho` and `spin_j` alone.
+    """
 
     _fields = ("rho", "spin_j")
 
@@ -71,6 +75,7 @@ class InertialClass(Value):
             raise ValueError("spin_j must be a nonnegative half-integer, got %s" % j)
         set_field(self, "rho", rho)
         set_field(self, "spin_j", j)
+        set_field(self, "_j", str(j))
 
     @property
     def dimension(self) -> int:
@@ -82,14 +87,14 @@ class InertialClass(Value):
     def to_json(self) -> dict:
         return {
             "rho": {"id": self.rho.id, "dim": self.rho.dim, "unitary_det": self.rho.unitary_det},
-            "j": str(self.spin_j),
+            "j": self._j,
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> InertialClass:
-        rho = data["rho"]
-        if not isinstance(rho, dict):
-            raise ValueError("rho must be a JSON object, got %r" % (rho,))
+    def from_json(cls, data: dict, prefix: str = "") -> InertialClass:
+        """The class of the JSON object `data`, whose path is `prefix` (empty or
+        ending in a dot): a missing or wrong `rho` is refused by its full path."""
+        rho = _json_field(data, "rho", dict, prefix)
         unitary_det = rho.get("unitary_det", True)
         if not isinstance(unitary_det, bool):
             raise ValueError("unitary_det must be a boolean, got %r" % (unitary_det,))
@@ -97,6 +102,9 @@ class InertialClass(Value):
             WeilLabel(rho["id"], exact_int(rho.get("dim", 1), "dim"), unitary_det),
             exact_rational(data["j"], "j"),
         )
+
+
+InertialClass._trusted = None  # every instance keeps its `_j`, set by the constructor alone
 
 
 def _check_label_consistency(labels):
@@ -141,9 +149,9 @@ class LParameter(Value):
     def from_json(cls, data: dict) -> LParameter:
         return cls(
             tuple(
-                (InertialClass.from_json(s),
-                 QScalar.from_json(_json_of_type(s["twist"], "twist", dict)))
-                for s in _json_objects(data["summands"], "summands")
+                (InertialClass.from_json(s, "summands[%d]." % i),
+                 QScalar.from_json(_json_field(s, "twist", dict, "summands[%d]." % i)))
+                for i, s in enumerate(_json_objects(_json_field(data, "summands"), "summands"))
             )
         )
 
@@ -154,9 +162,10 @@ class OrbitDescriptor(Value):
     The constructor and `from_json` sort the classes into canonical order (by
     `InertialClass.key()`) and check them: at least one, positive
     multiplicities, pairwise distinct, consistent labels.  Two builders whose
-    output meets all of this by construction skip the checks, through
-    `_value._trusted`: `orbit_of`, which counts the classes of a checked
-    parameter, and the strata walk of `gldual.bernstein`.
+    output meets all of this by construction skip the checks, through the
+    positional `OrbitDescriptor._trusted(classes)`: `orbit_of`, which counts
+    the classes of a checked parameter, and the orbit walk of
+    `gldual.bernstein`.
     """
 
     _fields = ("classes",)
@@ -195,8 +204,9 @@ class OrbitDescriptor(Value):
     def from_json(cls, data: dict) -> OrbitDescriptor:
         return cls(
             tuple(
-                (InertialClass.from_json(c), exact_int(c["multiplicity"], "multiplicity"))
-                for c in data["classes"]
+                (InertialClass.from_json(c, "classes[%d]." % i),
+                 exact_int(c["multiplicity"], "multiplicity"))
+                for i, c in enumerate(_json_objects(_json_field(data, "classes"), "classes"))
             )
         )
 
@@ -210,13 +220,13 @@ def orbit_of(phi: LParameter) -> OrbitDescriptor:
     """Forget the twists and group equal inertial classes with multiplicities."""
     # a checked parameter's classes, counted: distinct, positive, consistent labels
     counts = Counter(cls for cls, _ in phi.summands)
-    return _trusted(OrbitDescriptor, classes=tuple(sorted(counts.items(), key=_class_key)))
+    return OrbitDescriptor._trusted(tuple(sorted(counts.items(), key=_class_key)))
 
 
 def _retwisted(summands) -> LParameter:
     """`summands` as a parameter in canonical order, unchecked: for a checked
     parameter's classes with new twists that are valid by construction."""
-    return _trusted(LParameter, summands=tuple(sorted(summands, key=_summand_key)))
+    return LParameter._trusted(tuple(sorted(summands, key=_summand_key)))
 
 
 def orbit_shape(orbit: OrbitDescriptor) -> tuple[int, int]:

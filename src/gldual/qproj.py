@@ -25,7 +25,7 @@ import functools
 import math
 from fractions import Fraction
 
-from ._value import Value, _json_objects, _json_of_type, _trusted, set_field
+from ._value import Value, _json_field, _json_objects, set_field
 from .bernstein import Component, CycleType, Stratum, _check_degree
 from .errors import LimitExceeded
 from .partitions import OUTPUT_LIMIT
@@ -54,7 +54,7 @@ class SymPoint(Value):
     @classmethod
     def from_json(cls, data: dict) -> SymPoint:
         return cls(tuple(tuple(map(QScalar.from_json, _json_objects(b, "blocks[%d]" % i)))
-                         for i, b in enumerate(_json_of_type(data["blocks"], "blocks", list))))
+                         for i, b in enumerate(_json_field(data, "blocks", list))))
 
 
 class StratumPoint(Value):
@@ -90,9 +90,10 @@ class StratumPoint(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> StratumPoint:
-        component = Component.from_json(data["component"])
+        component = Component.from_json(_json_field(data, "component", dict), "component.")
         stratum = Stratum.from_json(data, component)
-        return cls(stratum, tuple(QScalar.from_json(z) for z in data["coords"]))
+        return cls(stratum, tuple(map(QScalar.from_json,
+                                      _json_objects(_json_field(data, "coords"), "coords"))))
 
 
 def q_string(alpha: int, z: QScalar, scale: Fraction = Fraction(1)) -> tuple[QScalar, ...]:
@@ -217,19 +218,18 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
         if length == 1:
             return z
         scale = component.blocks[ranked[r][0]].q_scale
-        return _trusted(QScalar, q_exp=z.q_exp + scale * Fraction(length - 1, 2), turn=z.turn)
+        return QScalar._trusted(z.q_exp + scale * Fraction(length - 1, 2), z.turn)
 
     # cycle types in lexicographic order are the strata in enumeration order;
     # the coordinates come out blockwise, by descending length, then ascending
     shapes = {tuple(tuple(-n for j, n in zip(*shape) if j == i)
                     for i in range(len(component.blocks))): shape for shape in found}
+    point = StratumPoint._trusted
     points = []
     for ct in sorted(shapes):
         shape = shapes[ct]
-        stratum = _trusted(Stratum, component=component,
-                           cycle_type=_trusted(CycleType, parts_per_block=ct))
+        stratum = Stratum._trusted(component, CycleType._trusted(ct))
         lengths = [-n for n in shape[1]]
-        points.extend(_trusted(StratumPoint, stratum=stratum,
-                               coords=tuple(map(coordinate, ranks, lengths)))
+        points.extend(point(stratum, tuple(map(coordinate, ranks, lengths)))
                       for ranks in sorted(found[shape]))
     return points

@@ -9,14 +9,14 @@ a point ever change along the way.
 
 On a parameter, which was checked when it was built, the new twists keep its
 reduced turns and the classes stay, so both maps build their output unchecked
-through `_value._trusted`; the point maps use the checked constructors.
+through `LParameter._trusted` and `QScalar._trusted`; the point maps use the
+checked constructors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import _trusted
 from .parameters import LParameter, _retwisted
 from .qproj import StratumPoint
 from .scalars import QScalar, _fraction
@@ -33,8 +33,8 @@ _ZERO = Fraction(0)  # the modulus exponent of every tempered twist
 
 def temper_parameter(phi: LParameter) -> LParameter:
     """Replace every twist by its unit part."""
-    return _retwisted([(cls, _trusted(QScalar, q_exp=_ZERO, turn=twist.turn))
-                       for cls, twist in phi.summands])
+    scalar = QScalar._trusted
+    return _retwisted([(cls, scalar(_ZERO, twist.turn)) for cls, twist in phi.summands])
 
 
 def _check_t(t) -> Fraction:
@@ -47,8 +47,8 @@ def _check_t(t) -> Fraction:
 def homotopy(phi: LParameter, t) -> LParameter:
     """Contract the twist moduli by (1 - t); t = 0 is the identity, t = 1 tempers."""
     s = 1 - _check_t(t)
-    return _retwisted([(cls, _trusted(QScalar, q_exp=s * twist.q_exp, turn=twist.turn))
-                       for cls, twist in phi.summands])
+    scalar = QScalar._trusted
+    return _retwisted([(cls, scalar(s * twist.q_exp, twist.turn)) for cls, twist in phi.summands])
 
 
 def temper_point(point: StratumPoint) -> StratumPoint:

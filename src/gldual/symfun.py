@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._value import Value, _trusted, set_field
+from ._value import Value, set_field
 from .errors import LimitExceeded, RootFindingError
 
 __all__ = ["SymCoords", "ROOTS_LIMIT", "to_sym_coords", "from_sym_coords", "match_multisets"]
@@ -93,7 +93,7 @@ def to_sym_coords(points) -> SymCoords:
     if coeffs[-1] == 0:
         raise ValueError("sigma_%d underflows to zero: the points avoid the origin, but their "
                          "product is below the range of doubles" % len(pts))
-    return _trusted(SymCoords, sigma=tuple(coeffs[1:]))  # finite and sigma_n != 0
+    return SymCoords._trusted(tuple(coeffs[1:]))  # finite and sigma_n != 0
 
 
 def from_sym_coords(coords: SymCoords) -> tuple[complex, ...]:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gldual.bernstein
 import gldual.partitions
 from gldual.bernstein import (
     Block,
@@ -200,6 +201,22 @@ def test_walks_are_bounded_by_their_count_alone():
             walk(Component.from_exponents((40,)))
 
 
+def test_the_orbit_walk_is_refused_before_any_table_is_built(monkeypatch):
+    # enumerate_orbits walks the multipartitions itself and never the strata
+    def not_called(*args):
+        raise AssertionError("called with %r" % (args,))
+
+    monkeypatch.setattr(gldual.bernstein, "enumerate_strata", not_called)
+    assert len(enumerate_orbits(Component.from_exponents((3, 2)))) == 6
+    monkeypatch.setattr(gldual.bernstein, "partitions", not_called)  # a block's table
+    for exponents, message in [((40,), "the partitions of 40 exceed the output limit"),
+                               ((30, 30), "31404816 multipartitions exceed the output limit")]:
+        partitions.cache_clear()
+        with pytest.raises(LimitExceeded, match=message):
+            enumerate_orbits(Component.from_exponents(exponents))
+        assert partitions.cache_info().currsize == 0
+
+
 def test_component_validation():
     with pytest.raises(ValueError):
         Component(())
@@ -311,3 +328,10 @@ def test_orbit_json_still_validated():
     clash["rho"] = dict(clash["rho"], dim=2)
     with pytest.raises(ValueError, match="inconsistent attributes"):
         OrbitDescriptor.from_json(dict(data, classes=[data["classes"][0], clash]))
+    for bad, message in [({}, "classes is missing"),
+                         ({"classes": 1}, "classes must be a JSON list, got a number"),
+                         ({"classes": [[1]]}, r"classes\[0\] must be a JSON object, got a list"),
+                         ({"classes": [{"j": "0", "multiplicity": 1}]},
+                          r"classes\[0\]\.rho is missing")]:
+        with pytest.raises(ValueError, match=message):
+            OrbitDescriptor.from_json(bad)

@@ -367,7 +367,33 @@ _WRONG_JSON_TYPES = {
                                     "re must be a JSON number, got None"),
     "temper-twist-number": (["temper", "--input", json.dumps(
         {"summands": [{"rho": {"id": "a"}, "j": "0", "twist": 1}]})],
-                            "twist must be a JSON object, got a number"),
+                            "summands[0].twist must be a JSON object, got a number"),
+    # a missing member or a nested field of a stratum point: were Python's own
+    # "'twist'" and "'int' object is not subscriptable"
+    "temper-twist-missing": (["temper", "--input", json.dumps(
+        {"summands": [{"rho": {"id": "a"}, "j": "0"}]})], "summands[0].twist is missing"),
+    "temper-point-component-number": (["temper", "--input", json.dumps(
+        {"component": 1, "cycle_type": [[1]], "coords": []})],
+                                      "component must be a JSON object, got a number"),
+    "temper-point-cycle-part-number": (["temper", "--input", json.dumps(
+        {"component": {"blocks": [{"label": "a", "exponent": 1}]}, "cycle_type": [1],
+         "coords": []})], "cycle_type[0] must be a JSON list, got a number"),
+    "temper-point-coords-missing": (["temper", "--input", json.dumps(
+        {"component": {"blocks": [{"label": "a", "exponent": 1}]}, "cycle_type": [[1]]})],
+                                    "coords is missing"),
+    # fields nested in a stratum point's component or a summand: named by their full path
+    "temper-point-blocks-number": (["temper", "--input", json.dumps(
+        {"component": {"blocks": 1}, "cycle_type": [[1]], "coords": []})],
+                                   "component.blocks must be a JSON list, got a number"),
+    "temper-point-blocks-missing": (["temper", "--input", json.dumps(
+        {"component": {}, "cycle_type": [[1]], "coords": []})], "component.blocks is missing"),
+    "temper-point-block-number": (["temper", "--input", json.dumps(
+        {"component": {"blocks": [1]}, "cycle_type": [[1]], "coords": []})],
+                                  "component.blocks[0] must be a JSON object, got a number"),
+    "temper-summand-rho-list": (["temper", "--input", _phi([1], "0")],
+                        "summands[0].rho must be a JSON object, got a list"),
+    "temper-summand-rho-missing": (["temper", "--input", json.dumps(
+        {"summands": [{"j": "0", "twist": _TWIST}]})], "summands[0].rho is missing"),
     "fiber-point-block-number": (["fiber", "--component", "(1)", "--point", '{"blocks": [1]}'],
                                  "blocks[0] must be a JSON list, got a number"),
     "fiber-point-scalar-list": (["fiber", "--component", "(1)", "--point",

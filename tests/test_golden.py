@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from gldual.cli import main
+from gldual.bernstein import enumerate_orbits, orbit_stratum_bijection
+from gldual.cli import _parse_component, main
 from gldual.verify import _compositions
 
 GOLDEN = Path(__file__).with_name("data") / "enumeration_golden.json"
@@ -95,6 +96,17 @@ def test_golden_corpus_covers_every_case():
 @pytest.mark.parametrize("argv", list(_cases()), ids=_key)
 def test_enumeration_stdout_matches_golden(argv):
     assert _record(argv) == _golden()[_key(argv)]
+
+
+@pytest.mark.parametrize("component", sorted({a[2] for a in _cases() if a[0] == "orbits"}),
+                         ids=lambda c: NAMED.get(c, c))
+def test_the_orbit_walk_lists_the_orbits_of_the_bijection(component):
+    # enumerate_orbits walks the multipartitions, the bijection the parts of its strata
+    c = _parse_component(component)
+    orbits = enumerate_orbits(c)
+    paired = [o for o, _ in orbit_stratum_bijection(c)]
+    assert orbits == paired
+    assert [o.to_json() for o in orbits] == [o.to_json() for o in paired]
 
 
 if __name__ == "__main__":
