@@ -8,9 +8,9 @@ ones built unchecked); it is None for a class of more fields, and for one
 whose constructor stores more than its fields.  The methods derived here
 compare and hash the tuple of those fields; they are closures over one
 `operator.attrgetter` per class, so defining a class generates and compiles
-no code.  The `from_json` constructors refuse a JSON value of the wrong type
-or a missing member through `_json_of_type`, `_json_field` and
-`_json_objects`, by its JSON path, as the command line does.
+no code.  JSON input has one read path: `from_json`, given its object's path,
+and the command line read each member with `_json_field` and each list of
+objects with `_json_objects`, which refuse it by its full JSON path.
 """
 
 from operator import attrgetter, ge, gt, le, lt
@@ -27,29 +27,34 @@ _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a numbe
 
 
 def _json_of_type(value, where: str, expected: type):
-    """`value` if it is of the `expected` type, dict or list; otherwise refused."""
+    """`value` if it is of the `expected` JSON type, dict, list or bool; otherwise refused."""
     if type(value) is not expected:
         raise ValueError("%s must be a JSON %s, got %s" % (
-            where, "object" if expected is dict else "list",
+            where, _JSON_TYPES[expected].split()[1],
             _JSON_TYPES.get(type(value), "a " + type(value).__name__)))
     return value
 
 
-def _json_field(data: dict, key: str, expected: type = None, prefix: str = ""):
-    """The member `key` of the JSON object `data`, whose path is `prefix` (empty
-    or ending in a dot), refused by its path `prefix + key` when missing or, given
-    the `expected` type (dict or list), not of that type.  A member handed on to
-    `_json_objects` is read with no `expected` type, since that checks the list."""
+def _json_field(data: dict, key: str, read=None, path: str = "", default=None):
+    """The member `key` of the JSON object `data` at `path`: `default` when missing,
+    refused as `<path> is missing` if that is None; checked to be of the JSON type
+    `read` (dict, list or bool), or parsed by `read(member, its path)`, such as
+    `exact_int` or `_json_objects`, or returned as it is if `read` is None."""
+    where = "%s.%s" % (path, key) if path else key
     if key not in data:
-        raise ValueError("%s is missing" % (prefix + key))
-    value = data[key]
-    return value if expected is None else _json_of_type(value, prefix + key, expected)
+        if default is None:
+            raise ValueError("%s is missing" % where)
+        return default
+    if isinstance(read, type):
+        return _json_of_type(data[key], where, read)
+    return data[key] if read is None else read(data[key], where)
 
 
 def _json_objects(value, where: str):
-    """The entries of the JSON list `value`, each refused when reached unless an object."""
-    return (_json_of_type(d, "%s[%d]" % (where, i), dict)
-            for i, d in enumerate(_json_of_type(value, where, list)))
+    """Each entry of the JSON list `value` with its path, refused unless an object."""
+    for i, entry in enumerate(_json_of_type(value, where, list)):
+        at = "%s[%d]" % (where, i)
+        yield _json_of_type(entry, at, dict), at
 
 
 def _frozen(self, name, value=None):

@@ -26,7 +26,6 @@ from fractions import Fraction
 
 from ._value import Value, _json_field, _json_objects, _json_of_type, set_field
 from .errors import LimitExceeded
-from .parameters import InertialClass, OrbitDescriptor, WeilLabel
 from .partitions import multipartitions, part_multiplicities, partitions
 from .scalars import _fraction, exact_int, exact_rational
 
@@ -94,20 +93,11 @@ class Component(Value):
         return {"blocks": out}
 
     @classmethod
-    def from_json(cls, data: dict, prefix: str = "") -> Component:
-        """The component of the JSON object `data`, whose path is `prefix` (empty
-        or ending in a dot): a wrong `blocks` is refused by its full path."""
-        return cls(
-            tuple(
-                Block(
-                    b["label"],
-                    exact_int(b["exponent"], "exponent"),
-                    exact_rational(b.get("q_scale", 1), "q_scale"),
-                )
-                for b in _json_objects(_json_field(data, "blocks", prefix=prefix),
-                                       prefix + "blocks")
-            )
-        )
+    def from_json(cls, data: dict, path: str = "") -> Component:
+        return cls(tuple(
+            Block(_json_field(b, "label", None, at), _json_field(b, "exponent", exact_int, at),
+                  _json_field(b, "q_scale", exact_rational, at, 1))
+            for b, at in _json_field(data, "blocks", _json_objects, path)))
 
     @classmethod
     def from_exponents(cls, exponents: tuple[int, ...]) -> Component:
@@ -182,7 +172,8 @@ class Stratum(Value):
     @classmethod
     def from_json(cls, data: dict, component: Component) -> Stratum:
         return cls(component, CycleType(tuple(
-            tuple(exact_int(x, "cycle part") for x in _json_of_type(p, "cycle_type[%d]" % i, list))
+            tuple(exact_int(x, "cycle_type[%d][%d]" % (i, k))
+                  for k, x in enumerate(_json_of_type(p, "cycle_type[%d]" % i, list)))
             for i, p in enumerate(_json_field(data, "cycle_type", list)))))
 
 
@@ -209,6 +200,7 @@ def _orbits_for(component: Component, mps) -> list[OrbitDescriptor]:
     ascending.  Every block label is (label, 1, True) and labels are distinct,
     so the blocks taken in label order give the order of `InertialClass.key()`.
     """
+    from .parameters import InertialClass, OrbitDescriptor, WeilLabel  # orbits alone need it
     tables = []
     for i, block in sorted(enumerate(component.blocks), key=lambda ib: ib[1].label):
         # Blocks are abstract supercuspidals; a unit-dimensional unitary

@@ -10,6 +10,8 @@ does has found a fault of the program.  Components and points are passed
 inline as JSON (or `@file`), with a compact shorthand for the common cases: a
 component `(2,1)` means unit blocks with those exponents, and a scalar
 multiset `{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`.
+Every JSON member is read by `gldual._value._json_field` and refused by its full
+path, missing, of the wrong type or unparsed: `summands[0].j is missing`.
 
 Each verb imports the modules it runs inside its handler and parse helpers,
 so a process pays for its own verb only: `symcoords`, for one, loads neither
@@ -27,7 +29,7 @@ import argparse
 import json
 import sys
 
-from ._value import _json_objects, _json_of_type
+from ._value import _json_field, _json_objects, _json_of_type
 from .errors import LimitExceeded, RootFindingError
 
 STRATA_LIMIT = 20  # the default of --max-degree on strata, orbits and hp
@@ -116,8 +118,9 @@ def _json_float(value, name: str) -> float:
 def _parse_complex_list(text: str, flag: str) -> list[complex]:
     """A JSON list of {re, im} objects (im defaults to 0) as complex numbers; NaN
     and infinities are left for `gldual.symfun` to refuse."""
-    return [complex(_json_float(d.get("re"), "re"), _json_float(d.get("im", 0.0), "im"))
-            for d in _json_objects(_decode_json(_load_text(text), flag, list), flag)]
+    return [complex(_json_field(d, "re", _json_float, at),
+                    _json_field(d, "im", _json_float, at, 0.0))
+            for d, at in _json_objects(_decode_json(_load_text(text), flag, list), flag)]
 
 
 def _complex_json(z: complex) -> dict:
@@ -335,7 +338,7 @@ def main(argv=None) -> int:
     except LimitExceeded as exc:
         _emit_error("limit", exc)
         return 3
-    except (ValueError, KeyError, TypeError, ZeroDivisionError, RootFindingError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, RootFindingError) as exc:
         _emit_error("validation", exc)
         return 2
     except Exception as exc:

@@ -25,8 +25,8 @@ import math
 from fractions import Fraction
 
 from ._value import Value, set_field
-from .bernstein import Component, Stratum, _check_degree
-from .parameters import OrbitDescriptor
+# annotations name Component, Stratum and OrbitDescriptor unimported: `hp` loads no parameters
+from .bernstein import _check_degree
 from .partitions import centralizer_order, multipartitions, overpartition_count
 
 __all__ = [

@@ -91,17 +91,12 @@ class InertialClass(Value):
         }
 
     @classmethod
-    def from_json(cls, data: dict, prefix: str = "") -> InertialClass:
-        """The class of the JSON object `data`, whose path is `prefix` (empty or
-        ending in a dot): a missing or wrong `rho` is refused by its full path."""
-        rho = _json_field(data, "rho", dict, prefix)
-        unitary_det = rho.get("unitary_det", True)
-        if not isinstance(unitary_det, bool):
-            raise ValueError("unitary_det must be a boolean, got %r" % (unitary_det,))
-        return cls(
-            WeilLabel(rho["id"], exact_int(rho.get("dim", 1), "dim"), unitary_det),
-            exact_rational(data["j"], "j"),
-        )
+    def from_json(cls, data: dict, path: str = "") -> InertialClass:
+        rho, at = _json_field(data, "rho", dict, path), ("%s.rho" % path if path else "rho")
+        return cls(WeilLabel(_json_field(rho, "id", None, at),
+                             _json_field(rho, "dim", exact_int, at, 1),
+                             _json_field(rho, "unitary_det", bool, at, True)),
+                   _json_field(data, "j", exact_rational, path))
 
 
 InertialClass._trusted = None  # every instance keeps its `_j`, set by the constructor alone
@@ -147,13 +142,10 @@ class LParameter(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> LParameter:
-        return cls(
-            tuple(
-                (InertialClass.from_json(s, "summands[%d]." % i),
-                 QScalar.from_json(_json_field(s, "twist", dict, "summands[%d]." % i)))
-                for i, s in enumerate(_json_objects(_json_field(data, "summands"), "summands"))
-            )
-        )
+        return cls(tuple(
+            (InertialClass.from_json(s, at),
+             QScalar.from_json(_json_field(s, "twist", dict, at), at + ".twist"))
+            for s, at in _json_field(data, "summands", _json_objects)))
 
 
 class OrbitDescriptor(Value):
@@ -202,13 +194,9 @@ class OrbitDescriptor(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> OrbitDescriptor:
-        return cls(
-            tuple(
-                (InertialClass.from_json(c, "classes[%d]." % i),
-                 exact_int(c["multiplicity"], "multiplicity"))
-                for i, c in enumerate(_json_objects(_json_field(data, "classes"), "classes"))
-            )
-        )
+        return cls(tuple(
+            (InertialClass.from_json(c, at), _json_field(c, "multiplicity", exact_int, at))
+            for c, at in _json_field(data, "classes", _json_objects)))
 
 
 def dimension(phi: LParameter) -> int:

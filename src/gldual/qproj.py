@@ -53,8 +53,9 @@ class SymPoint(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> SymPoint:
-        return cls(tuple(tuple(map(QScalar.from_json, _json_objects(b, "blocks[%d]" % i)))
-                         for i, b in enumerate(_json_field(data, "blocks", list))))
+        return cls(tuple(
+            tuple(QScalar.from_json(z, at) for z, at in _json_objects(b, "blocks[%d]" % i))
+            for i, b in enumerate(_json_field(data, "blocks", list))))
 
 
 class StratumPoint(Value):
@@ -90,10 +91,10 @@ class StratumPoint(Value):
 
     @classmethod
     def from_json(cls, data: dict) -> StratumPoint:
-        component = Component.from_json(_json_field(data, "component", dict), "component.")
+        component = Component.from_json(_json_field(data, "component", dict), "component")
         stratum = Stratum.from_json(data, component)
-        return cls(stratum, tuple(map(QScalar.from_json,
-                                      _json_objects(_json_field(data, "coords"), "coords"))))
+        return cls(stratum, tuple(QScalar.from_json(z, at)
+                                  for z, at in _json_field(data, "coords", _json_objects)))
 
 
 def q_string(alpha: int, z: QScalar, scale: Fraction = Fraction(1)) -> tuple[QScalar, ...]:

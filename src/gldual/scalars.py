@@ -13,7 +13,7 @@ import math
 import re
 from fractions import Fraction
 
-from ._value import Value, set_field
+from ._value import Value, _json_field, set_field
 
 __all__ = ["QScalar", "ONE", "q_power", "unit", "exact_int", "exact_rational",
            "MAX_DECIMAL_EXPONENT"]
@@ -23,7 +23,8 @@ __all__ = ["QScalar", "ONE", "q_power", "unit", "exact_int", "exact_rational",
 # while still text.
 MAX_DECIMAL_EXPONENT = 100
 
-_EXPONENT = re.compile(r"[eE]\s*([-+]?[0-9_]+)\s*$")
+# underscores only between digits, as int() reads them: '1e_' is refused as text
+_EXPONENT = re.compile(r"[eE]\s*([-+]?[0-9](?:_?[0-9])*)\s*$")
 
 
 def _fraction(x) -> Fraction:
@@ -44,30 +45,36 @@ def _refuse_digit_variants(text: str, what: str) -> None:
 
 def exact_int(value, what: str) -> int:
     """A parsed integer: an int or a string of ASCII digits with an optional
-    sign, never a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError("%s must be an integer, got %r" % (what, value))
-    if isinstance(value, str):
+    sign, never a bool or a float; anything else is refused by the name `what`."""
+    if type(value) is str:
         _refuse_digit_variants(value, what)
-    return int(value)
+    try:
+        if type(value) in (int, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
 def exact_rational(value, what: str) -> Fraction:
     """A parsed rational: an int or a string such as '3', '-1/2', '0.25' or
     '1e-3', in ASCII digits.
 
-    Bools and floats are refused, as is a decimal exponent beyond
-    MAX_DECIMAL_EXPONENT, before any large integer is built.
+    Bools, floats and text that does not parse ('abc', '1/0') are refused by the
+    name `what`, as is a decimal exponent beyond MAX_DECIMAL_EXPONENT, while text.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError("%s must be an integer or a rational string, got %r" % (what, value))
-    if isinstance(value, str):
+    if type(value) is str:
         m = _EXPONENT.search(value)
         if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
             raise ValueError("%s has a decimal exponent beyond %d: %r"
                              % (what, MAX_DECIMAL_EXPONENT, value))
         _refuse_digit_variants(value, what)
-    return Fraction(value)
+    try:
+        if type(value) in (int, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError("%s must be an integer or a rational string, got %r" % (what, value))
 
 
 class QScalar(Value, order=True):
@@ -137,8 +144,9 @@ class QScalar(Value, order=True):
         return {"q_exp": str(self.q_exp), "turn": str(self.turn)}
 
     @classmethod
-    def from_json(cls, data: dict) -> QScalar:
-        return cls(exact_rational(data["q_exp"], "q_exp"), exact_rational(data["turn"], "turn"))
+    def from_json(cls, data: dict, path: str = "") -> QScalar:
+        return cls(_json_field(data, "q_exp", exact_rational, path),
+                   _json_field(data, "turn", exact_rational, path))
 
 
 ONE = QScalar(Fraction(0), Fraction(0))

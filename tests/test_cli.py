@@ -364,7 +364,7 @@ _WRONG_JSON_TYPES = {
     "temper-summand-number": (["temper", "--input", '{"summands": [1]}'],
                               "summands[0] must be a JSON object, got a number"),
     "symcoords-points-missing-re": (["symcoords", "--points", "[{}]"],
-                                    "re must be a JSON number, got None"),
+                                    "--points[0].re is missing"),
     "temper-twist-number": (["temper", "--input", json.dumps(
         {"summands": [{"rho": {"id": "a"}, "j": "0", "twist": 1}]})],
                             "summands[0].twist must be a JSON object, got a number"),
@@ -399,6 +399,17 @@ _WRONG_JSON_TYPES = {
     "fiber-point-scalar-list": (["fiber", "--component", "(1)", "--point",
                                  '{"blocks": [[[1]]]}'],
                                 "blocks[0][0] must be a JSON object, got a list"),
+    # scalar text that does not parse: was Python's own ValueError or ZeroDivisionError
+    "temper-point-cycle-part-text": (["temper", "--input", json.dumps(
+        {"component": {"blocks": [{"label": "a", "exponent": 1}]}, "cycle_type": [["x"]],
+         "coords": []})], "cycle_type[0][0] must be an integer, got 'x'"),
+    "temper-summand-j-text": (["temper", "--input", _phi({"id": "a"}, "abc")],
+                              "summands[0].j must be an integer or a rational string, "
+                              "got 'abc'"),
+    "hp-q-scale-zero-denominator": (["hp", "--component", json.dumps(
+        {"blocks": [{"label": "a", "exponent": 1, "q_scale": "1/0"}]})],
+                                    "blocks[0].q_scale must be an integer or a rational "
+                                    "string, got '1/0'"),
 }
 _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
                    (["project"], "--point"), (["temper"], "--input"),

@@ -121,29 +121,31 @@ def test_import_loads_no_gldual_module():
 
 
 # each verb, and the gldual modules it loads in a fresh process: its own layers
-# and what they import, nothing more
+# and what they import, nothing more; only the verbs that build orbits or read
+# a parameter load gldual.parameters
 _EXACT = {"gldual._value", "gldual.bernstein", "gldual.cli", "gldual.errors",
-          "gldual.parameters", "gldual.partitions", "gldual.scalars"}
+          "gldual.partitions", "gldual.scalars"}
+_ORBITS = _EXACT | {"gldual.parameters"}
 _SYMCOORDS = {"gldual._value", "gldual.cli", "gldual.errors", "gldual.symfun"}
 _PARAMETER = {"summands": [{"rho": {"id": "a"}, "j": "0",
                             "twist": {"q_exp": "1", "turn": "1/3"}}]}
 VERBS = {
     "strata": (("strata", "--component", "(3)"), _EXACT),
-    "orbits": (("orbits", "--component", "(2,1)"), _EXACT),
+    "orbits": (("orbits", "--component", "(2,1)"), _ORBITS),
     "hp": (("hp", "--component", "(3)"), _EXACT | {"gldual.cohomology"}),
     "project": (("project", "--component", "(3)", "--cycle", "(2,1)", "--coords", "{q,1}"),
                 _EXACT | {"gldual.qproj"}),
     "fiber": (("fiber", "--component", "(3)", "--point", "{q^-1,1,q}"),
               _EXACT | {"gldual.qproj"}),
     "temper": (("temper", "--input", json.dumps(_PARAMETER)),
-               _EXACT | {"gldual.qproj", "gldual.retract"}),
+               _ORBITS | {"gldual.qproj", "gldual.retract"}),
     "homotopy": (("homotopy", "--input", json.dumps(_PARAMETER), "--t", "1/2"),
-                 _EXACT | {"gldual.qproj", "gldual.retract"}),
+                 _ORBITS | {"gldual.qproj", "gldual.retract"}),
     "symcoords --points": (("symcoords", "--points", '[{"re": 2}, {"re": 3}]'), _SYMCOORDS),
     "symcoords --sigma": (("symcoords", "--sigma", '[{"re": 5}, {"re": 6}]'),
                           _SYMCOORDS | {"gldual.aberth"}),
     "verify": (("verify", "--fiber-samples", "1", "--sym-samples", "1"),
-               _EXACT | {"gldual.aberth", "gldual.cohomology", "gldual.qproj",
+               _ORBITS | {"gldual.aberth", "gldual.cohomology", "gldual.qproj",
                          "gldual.retract", "gldual.symfun", "gldual.verify"}),
 }
 GLDUAL_MODULES = tuple(sorted("gldual." + path.stem

@@ -79,7 +79,9 @@ def test_exact_parsers_read_ascii_digits_only():
     for bad in ("1_0", "\u0661\u0662", "\uff11"):
         with pytest.raises(ValueError, match="ASCII digits"):
             exact_int(bad, "n")
-    for bad in ("1_0", "1/2_0", "0.1_5", "\u0661\u0662", "1/\u0662", "1e\u0661\u0660"):
+    # '1e_' and '1e1__0' were int()'s own "invalid literal" from the exponent check
+    for bad in ("1_0", "1/2_0", "0.1_5", "\u0661\u0662", "1/\u0662", "1e\u0661\u0660", "1e_",
+                "1e1__0"):
         with pytest.raises(ValueError, match="ASCII digits"):
             exact_rational(bad, "x")
 
