@@ -47,11 +47,17 @@ def _load_text(value: str) -> str:
 
 def _decode_json(text: str, flag: str, expected: type):
     """json.loads of the value of `flag`, refused unless it is of the `expected`
-    type (dict or list) or where it is nested too deeply for the decoder."""
+    type (dict or list), where it is nested too deeply for the decoder, or where
+    it holds an integer of more digits than `sys.get_int_max_str_digits()`."""
     try:
         value = json.loads(text)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other refusal: an integer longer than int() reads
+        raise ValueError("%s holds a number of more than %d digits"
+                         % (flag, sys.get_int_max_str_digits())) from None
     return _json_of_type(value, flag, expected)
 
 
@@ -100,8 +106,8 @@ def _parse_sym_point(text: str):
     from .qproj import SymPoint
 
     text = _load_text(text).strip()
-    # '{"blocks": ...}' is JSON; any other '{...}' is the scalar shorthand
-    if text.startswith("{") and not text[1:].lstrip().startswith('"'):
+    # '{"blocks": ...}' and '{}' are JSON; any other '{...}' is the scalar shorthand
+    if text.startswith("{") and not text[1:].lstrip().startswith(('"', "}")):
         return SymPoint(tuple(_parse_scalar_list(part) for part in text.split(";")))
     return SymPoint.from_json(_decode_json(text, "--point", dict))
 

@@ -11,7 +11,6 @@ descriptor, whose invariants (l, k) fix the shape A^l x (C*)^k of the orbit.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 from ._value import Value, _json_field, _json_objects, set_field
@@ -156,7 +155,7 @@ class OrbitDescriptor(Value):
     multiplicities, pairwise distinct, consistent labels.  Two builders whose
     output meets all of this by construction skip the checks, through the
     positional `OrbitDescriptor._trusted(classes)`: `orbit_of`, which counts
-    the classes of a checked parameter, and the orbit walk of
+    the runs of equal classes in a checked parameter, and the orbit walk of
     `gldual.bernstein`.
     """
 
@@ -206,9 +205,20 @@ def dimension(phi: LParameter) -> int:
 
 def orbit_of(phi: LParameter) -> OrbitDescriptor:
     """Forget the twists and group equal inertial classes with multiplicities."""
-    # a checked parameter's classes, counted: distinct, positive, consistent labels
-    counts = Counter(cls for cls, _ in phi.summands)
-    return OrbitDescriptor._trusted(tuple(sorted(counts.items(), key=_class_key)))
+    # A checked parameter is sorted by class key first, so equal classes are
+    # adjacent and the runs come in key order: one pass counts each run and
+    # keeps its first instance, with no hash and no sort.  The counts are
+    # positive and the labels consistent, as the parameter's were.
+    entries = []
+    run, count = phi.summands[0][0], 0
+    for cls, _ in phi.summands:
+        if cls is run or cls == run:
+            count += 1
+        else:
+            entries.append((run, count))
+            run, count = cls, 1
+    entries.append((run, count))
+    return OrbitDescriptor._trusted(tuple(entries))
 
 
 def _retwisted(summands) -> LParameter:

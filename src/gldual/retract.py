@@ -10,7 +10,11 @@ a point ever change along the way.
 On a parameter, which was checked when it was built, the new twists keep its
 reduced turns and the classes stay, so both maps build their output unchecked
 through `LParameter._trusted` and `QScalar._trusted`; the point maps use the
-checked constructors.
+checked constructors.  A parameter keeps its summands sorted by (class key,
+q_exp, turn).  For t < 1 the homotopy multiplies every q_exp by s = 1 - t > 0,
+which keeps that order exactly, so it builds its output in the input's order.
+Only tempering re-sorts, `temper_parameter` and the homotopy at t = 1: every
+q_exp becomes 0 there, and the turns then order the summands of each class.
 """
 
 from __future__ import annotations
@@ -48,7 +52,9 @@ def homotopy(phi: LParameter, t) -> LParameter:
     """Contract the twist moduli by (1 - t); t = 0 is the identity, t = 1 tempers."""
     s = 1 - _check_t(t)
     scalar = QScalar._trusted
-    return _retwisted([(cls, scalar(s * twist.q_exp, twist.turn)) for cls, twist in phi.summands])
+    summands = [(cls, scalar(s * twist.q_exp, twist.turn)) for cls, twist in phi.summands]
+    # s > 0 keeps the (class key, q_exp, turn) order; s = 0 tempers, which re-sorts
+    return LParameter._trusted(tuple(summands)) if s else _retwisted(summands)
 
 
 def temper_point(point: StratumPoint) -> StratumPoint:

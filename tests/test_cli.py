@@ -410,6 +410,30 @@ _WRONG_JSON_TYPES = {
         {"blocks": [{"label": "a", "exponent": 1, "q_scale": "1/0"}]})],
                                     "blocks[0].q_scale must be an integer or a rational "
                                     "string, got '1/0'"),
+    # an empty JSON object for a quotient point: was read as the scalar shorthand
+    # of one empty block, "point has 1 blocks, component has 2"
+    "fiber-point-empty-object": (["fiber", "--component", "(1,1)", "--point", "{}"],
+                                 "blocks is missing"),
+    "fiber-point-empty-object-spaced": (["fiber", "--component", "(1,1)", "--point", "{ }"],
+                                        "blocks is missing"),
+}
+# numbers of more digits than int() reads: were Python's own "Exceeds the limit
+# (4300 digits) ..." as a JSON number, and "must be an integer, got '1000...'",
+# echoing every digit, as text; (argv, message) with {limit} for the limit
+_DIGITS = "1" + "0" * 5000
+_TOO_MANY_DIGITS = {
+    "hp-exponent-number": (["hp", "--component", '{"blocks": [{"label": "a", "exponent": %s}]}'
+                            % _DIGITS], "--component holds a number of more than {limit} digits"),
+    "hp-exponent-string": (["hp", "--component", '{"blocks": [{"label": "a", "exponent": "%s"}]}'
+                            % _DIGITS], "blocks[0].exponent has more than {limit} digits"),
+    "hp-exponent-shorthand": (["hp", "--component", "(%s)" % _DIGITS],
+                              "exponent has more than {limit} digits"),
+    "temper-q-exp-string": (["temper", "--input", json.dumps({"summands": [
+        {"rho": {"id": "a"}, "j": "0", "twist": {"q_exp": _DIGITS, "turn": "0"}}]})],
+                            "summands[0].twist.q_exp has more than {limit} digits"),
+    "homotopy-t-denominator": (["homotopy", "--t", "1/" + _DIGITS,
+                                "--input", _phi({"id": "a"}, "0")],
+                               "t has more than {limit} digits"),
 }
 _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
                    (["project"], "--point"), (["temper"], "--input"),
@@ -488,6 +512,18 @@ def test_wrong_json_types_are_refused_by_flag(capsys, name):
     code, report, _ = run_cli(capsys, *argv)
     assert code == 2
     assert report["error"] == {"type": "validation", "message": message}
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter reads integers of any length")
+@pytest.mark.parametrize("name", sorted(_TOO_MANY_DIGITS))
+def test_numbers_beyond_the_digit_limit_are_refused_by_path(capsys, name):
+    argv, message = _TOO_MANY_DIGITS[name]
+    code, report, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert report["error"] == {
+        "type": "validation", "message": message.format(limit=sys.get_int_max_str_digits())}
+    assert "0" * 100 not in out
 
 
 @pytest.mark.parametrize("flag, prefix", [("--points", "points must be finite, point 0 is "),

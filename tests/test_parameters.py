@@ -33,6 +33,31 @@ params = st.builds(
     st.lists(st.tuples(classes, twists), min_size=1, max_size=5).map(tuple),
 )
 
+# labels out of sorted order ("B" < "a" < "sc10" < "sc2"), one of them with a
+# non-unitary determinant, and few classes, so that classes repeat
+mixed_classes = st.builds(
+    InertialClass,
+    st.sampled_from([WeilLabel("sc2"), WeilLabel("sc10", 2), WeilLabel("B", 1, False),
+                     WeilLabel("a", 3)]),
+    st.sampled_from([F(0), F(1, 2), F(3, 2)]),
+)
+mixed_params = st.builds(
+    LParameter, st.lists(st.tuples(mixed_classes, twists), min_size=1, max_size=8).map(tuple)
+)
+
+
+def equal_copy(c):
+    """An inertial class equal to `c` that shares neither its label nor its spin object."""
+    rho = c.rho
+    return InertialClass(WeilLabel(rho.id, rho.dim, rho.unitary_det),
+                         F(c.spin_j.numerator, c.spin_j.denominator))
+
+
+# every class at least twice, as distinct but equal instances
+copied_params = st.lists(st.tuples(classes, twists, twists), min_size=1, max_size=4).map(
+    lambda rows: LParameter(tuple(
+        summand for c, a, b in rows for summand in ((c, a), (equal_copy(c), b)))))
+
 
 def cls(label=TRIVIAL, j=0):
     return InertialClass(label, F(j))
@@ -81,10 +106,13 @@ def test_orbit_invariant_under_retwisting(phi, new_twist):
         assert orbit_of(LParameter(tuple(summands))) == base
 
 
-@given(params)
+@given(st.one_of(params, mixed_params, copied_params))
 def test_unchecked_orbit_of_equals_its_checked_construction(phi):
     orbit = orbit_of(phi)
     assert orbit == OrbitDescriptor(tuple(Counter(c for c, _ in phi.summands).items()))
+    # each entry is the first instance of its class in the parameter
+    for c, _ in orbit.classes:
+        assert next(d for d, _ in phi.summands if d == c) is c
     keys = [c.key() for c, _ in orbit.classes]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert all(type(m) is int and m >= 1 for _, m in orbit.classes)

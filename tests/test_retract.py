@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gldual import parameters
 from gldual.bernstein import Component, CycleType, Stratum, enumerate_orbits
 from gldual.cohomology import orbit_poincare, tempered_orbit_poincare
 from gldual.parameters import (
@@ -91,6 +93,24 @@ def test_unchecked_homotopy_equals_its_checked_construction(phi, t):
     assert result == LParameter(
         tuple((c, QScalar((1 - t) * tw.q_exp, tw.turn)) for c, tw in phi.summands))
     assert_canonical(result)
+
+
+@given(st.one_of(params, mixed_params))
+def test_orbit_and_homotopy_read_the_canonical_order(phi):
+    # neither hashes a class nor computes a sort key: the checked parameter's
+    # order is used as it is
+    orbit = OrbitDescriptor(tuple(Counter(c for c, _ in phi.summands).items()))
+    moved = LParameter(tuple((c, QScalar(tw.q_exp / 2, tw.turn)) for c, tw in phi.summands))
+
+    def refuse(*args):
+        raise AssertionError("hashed a class or computed a sort key")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(InertialClass, "__hash__", refuse)
+        patch.setattr(parameters, "_class_key", refuse)
+        patch.setattr(parameters, "_summand_key", refuse)
+        assert orbit_of(phi) == orbit
+        assert homotopy(phi, F(1, 2)).summands == moved.summands
 
 
 @given(params)
