@@ -53,19 +53,33 @@ def _decode_json(text: str, flag: str, expected: type):
         value = json.loads(text)
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
-    except json.JSONDecodeError:
-        raise
+    except json.JSONDecodeError as exc:
+        raise ValueError("%s is not JSON: %s" % (flag, exc)) from None
     except ValueError:  # the only other refusal: an integer longer than int() reads
         raise ValueError("%s holds a number of more than %d digits"
                          % (flag, sys.get_int_max_str_digits())) from None
     return _json_of_type(value, flag, expected)
 
 
-def _int_tuple(text: str, what: str) -> tuple[int, ...]:
-    """The shorthand '(a,b,...)' of integers, as for components and cycle types."""
+def _entries(inner: str, flag: str) -> list[str]:
+    """The comma-separated entries inside a shorthand's brackets, none of them
+    empty; blank brackets hold none."""
+    entries = inner.split(",") if inner.strip() else []
+    if not all(entry.strip() for entry in entries):
+        raise ValueError("%s shorthand has an empty entry" % flag)
+    return entries
+
+
+def _int_tuple(text: str, flag: str, what: str) -> tuple[int, ...]:
+    """The shorthand '(a,b,...)' of integers, as for components and cycle types:
+    exactly one enclosing pair of parentheses."""
     from .scalars import exact_int
 
-    return tuple(exact_int(p, what) for p in text.strip().strip("()").split(",") if p.strip())
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")) or text.count("(") + text.count(")") != 2:
+        raise ValueError("%s shorthand must be integers in one pair of parentheses, like '(2,1)'"
+                         % flag)
+    return tuple(exact_int(p, what) for p in _entries(text[1:-1], flag))
 
 
 def parse_scalar(text: str):
@@ -94,12 +108,12 @@ def _parse_component(text: str):
 
     text = _load_text(text).strip()
     if text.startswith("("):
-        return Component.from_exponents(_int_tuple(text, "exponent"))
+        return Component.from_exponents(_int_tuple(text, "--component", "exponent"))
     return Component.from_json(_decode_json(text, "--component", dict))
 
 
-def _parse_scalar_list(text: str) -> tuple:
-    return tuple(parse_scalar(tok) for tok in text.strip().strip("{}").split(",") if tok.strip())
+def _parse_scalar_list(text: str, flag: str) -> tuple:
+    return tuple(parse_scalar(tok) for tok in _entries(text.strip().strip("{}"), flag))
 
 
 def _parse_sym_point(text: str):
@@ -108,7 +122,7 @@ def _parse_sym_point(text: str):
     text = _load_text(text).strip()
     # '{"blocks": ...}' and '{}' are JSON; any other '{...}' is the scalar shorthand
     if text.startswith("{") and not text[1:].lstrip().startswith(('"', "}")):
-        return SymPoint(tuple(_parse_scalar_list(part) for part in text.split(";")))
+        return SymPoint(tuple(_parse_scalar_list(part, "--point") for part in text.split(";")))
     return SymPoint.from_json(_decode_json(text, "--point", dict))
 
 
@@ -176,12 +190,12 @@ def _stratum_point_from_args(args):
     if args.component is None or args.cycle is None or args.coords is None:
         raise ValueError("need either --point or all of --component/--cycle/--coords")
     component = _parse_component(args.component)
-    parts = _int_tuple(args.cycle, "cycle part")
+    parts = _int_tuple(args.cycle, "--cycle", "cycle part")
     # shorthand covers single-block components; JSON covers the general case
     if len(component.blocks) != 1:
         raise ValueError("--cycle shorthand requires a single-block component")
     stratum = Stratum(component, CycleType((parts,)))
-    return StratumPoint(stratum, _parse_scalar_list(args.coords))
+    return StratumPoint(stratum, _parse_scalar_list(args.coords, "--coords"))
 
 
 def _cmd_project(args) -> tuple[int, dict]:

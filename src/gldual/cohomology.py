@@ -15,22 +15,21 @@ form and walk no strata.
 The walks it replaces are the oracles of `gldual.verify` and the tests: the
 even/odd totals over the strata, the orbit count, and the Molien-type average
 of det(I + t * P_g) over each stratum's group.  In that average a cycle type
-(alpha_1, alpha_2, ...) contributes prod(1 - (-t)^alpha) with weight
-1/z(class), exactly over the rationals.
+(alpha_1, alpha_2, ...) contributes prod(1 - (-t)^alpha) times the size of
+its class, prod(m_i! / z(lambda_i)), in integers, and each total is divided
+once by the group order prod(m_i!).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._value import Value, set_field
 # annotations name Component, Stratum and OrbitDescriptor unimported: `hp` loads no parameters
 from .bernstein import _check_degree
-from .partitions import centralizer_order, multipartitions, overpartition_count
+from .partitions import multipartitions, overpartition_count, part_multiplicities
 
 __all__ = [
-    "PoincarePolynomial",
     "PermutationAction",
     "HP_LIMIT",
     "invariant_exterior_dims",
@@ -44,33 +43,6 @@ __all__ = [
 # HP refuses components above this degree: filling the overpartition table up
 # to n takes O(n^1.5) steps, about 21,000 for 1000
 HP_LIMIT = 1000
-
-
-class PoincarePolynomial(Value):
-    """Graded dimension vector: coeffs[p] = dim H^p, trailing zeros trimmed."""
-
-    _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        coeffs = tuple(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            raise ValueError("the zero polynomial is not a valid Poincare polynomial")
-        if any(c < 0 for c in coeffs):
-            raise ValueError("coefficients must be nonnegative")
-        set_field(self, "coeffs", coeffs)
-
-    @property
-    def even_total(self) -> int:
-        return sum(self.coeffs[0::2])
-
-    @property
-    def odd_total(self) -> int:
-        return sum(self.coeffs[1::2])
-
-    def total(self) -> int:
-        return sum(self.coeffs)
 
 
 class PermutationAction(Value):
@@ -91,39 +63,56 @@ class PermutationAction(Value):
         return sum(self.blocks)
 
 
-def invariant_exterior_dims(action: PermutationAction) -> PoincarePolynomial:
-    """Graded dimensions of the group-invariant exterior algebra.
+def _centralizer_order(partition: tuple[int, ...]) -> int:
+    """Order z of the S_n-centralizer of a permutation with this cycle type:
+    prod(part^mult * mult!) over distinct parts; its class has n!/z elements."""
+    z = 1
+    for part, mult in part_multiplicities(partition):
+        z *= part**mult * math.factorial(mult)
+    return z
 
-    Averages det(I + t * P_g) over the acting group, one conjugacy class
-    (= one cycle type per block) at a time with weight 1/centralizer_order.
-    More than OUTPUT_LIMIT classes are refused by their count, before the walk.
+
+def invariant_exterior_dims(action: PermutationAction) -> tuple[int, ...]:
+    """Graded dimensions (dim H^0, dim H^1, ...) of the group-invariant exterior
+    algebra, trailing zeros trimmed.
+
+    Sums det(I + t * P_g) over the acting group, one conjugacy class (= one
+    cycle type per block) at a time times its size, and divides by the group
+    order.  More than OUTPUT_LIMIT classes are refused by their count, before
+    the walk and before the group order is computed.
     """
     classes = multipartitions(action.blocks)
-    total = [Fraction(0)] * (action.rank + 1)
+    factorials = [math.factorial(m) for m in action.blocks]
+    total = [0] * (action.rank + 1)
     for cycle_types in classes:
-        weight = Fraction(1)
+        size = 1
         poly = [1]
-        for lam in cycle_types:
-            weight /= centralizer_order(lam)
+        for m_factorial, lam in zip(factorials, cycle_types):
+            size *= m_factorial // _centralizer_order(lam)
             for alpha in lam:
                 # times det(I + t*C) = 1 - (-t)^alpha, C a cyclic permutation of size alpha
                 poly = [a - (-1) ** alpha * b
                         for a, b in zip(poly + [0] * alpha, [0] * alpha + poly)]
         for p, c in enumerate(poly):
-            total[p] += weight * c
-    coeffs = []
+            total[p] += size * c
+    order = math.prod(factorials)
+    dims = []
     for p, c in enumerate(total):
-        if c.denominator != 1:
-            raise ArithmeticError("non-integral invariant dimension %s in degree %d" % (c, p))
-        coeffs.append(int(c))
-    return PoincarePolynomial(tuple(coeffs))
+        d, remainder = divmod(c, order)
+        if remainder:
+            raise ArithmeticError("non-integral invariant dimension %d/%d in degree %d"
+                                  % (c, order, p))
+        dims.append(d)
+    while dims[-1] == 0:
+        dims.pop()
+    return tuple(dims)
 
 
-def _binomial(k: int) -> PoincarePolynomial:
-    return PoincarePolynomial(tuple(math.comb(k, p) for p in range(k + 1)))
+def _binomial(k: int) -> tuple[int, ...]:
+    return tuple(math.comb(k, p) for p in range(k + 1))
 
 
-def stratum_poincare(stratum: Stratum) -> PoincarePolynomial:
+def stratum_poincare(stratum: Stratum) -> tuple[int, ...]:
     """Cohomology dimensions of one extended-quotient stratum: (1+t)^k for its
     k symmetric-power factors."""
     return _binomial(len(stratum.residual_blocks()))
@@ -146,12 +135,12 @@ def orbit_hp_dimension(component: Component) -> int:
     return math.prod(map(overpartition_count, component.exponents)) // 2
 
 
-def orbit_poincare(orbit: OrbitDescriptor) -> PoincarePolynomial:
+def orbit_poincare(orbit: OrbitDescriptor) -> tuple[int, ...]:
     """Cohomology of the full orbit A^l x (C*)^k: binomial coefficients of (1+t)^k."""
     return _binomial(orbit.k)
 
 
-def tempered_orbit_poincare(orbit: OrbitDescriptor) -> PoincarePolynomial:
+def tempered_orbit_poincare(orbit: OrbitDescriptor) -> tuple[int, ...]:
     """Cohomology of the compact orbit prod(Sym^{l_i} T): (1+t)^k, as for the full
     orbit, since each Sym^{l_i} T retracts onto T; every determinant must be unitary."""
     for cls, _ in orbit.classes:

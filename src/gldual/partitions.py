@@ -1,4 +1,4 @@
-"""Integer partitions, multipartitions and symmetric-group class data.
+"""Integer partitions, multipartitions and their counts.
 
 Partitions are weakly decreasing tuples of positive integers.  The canonical
 enumeration order used everywhere in this package is plain lexicographic
@@ -77,18 +77,6 @@ def multipartitions(sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], .
 def part_multiplicities(partition: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """(part, multiplicity) pairs of a partition, parts in decreasing order."""
     return tuple((part, sum(1 for _ in run)) for part, run in itertools.groupby(partition))
-
-
-def centralizer_order(partition: tuple[int, ...]) -> int:
-    """Order of the S_n-centralizer of a permutation with this cycle type.
-
-    Equals prod(part^mult * mult!) over distinct parts; the conjugacy class of
-    the cycle type has n!/centralizer_order elements.
-    """
-    z = 1
-    for part, mult in part_multiplicities(partition):
-        z *= part**mult * math.factorial(mult)
-    return z
 
 
 # p̄(0), p̄(1), ...: grown on demand up to the largest n asked for, at most

@@ -208,12 +208,12 @@ def hp_by_walks(component: Component) -> tuple[tuple[int, int], ...]:
         for m in stratum.residual_blocks():
             if m not in at_pm1:
                 poly = invariant_exterior_dims(PermutationAction((m,)))
-                at_pm1[m] = (poly.total(), poly.even_total - poly.odd_total)
+                at_pm1[m] = (sum(poly), sum(poly[0::2]) - sum(poly[1::2]))
             plus *= at_pm1[m][0]
             minus *= at_pm1[m][1]
         molien[0] += (plus + minus) // 2
         molien[1] += (plus - minus) // 2
-    return ((sum(p.even_total for p in strata), sum(p.odd_total for p in strata)),
+    return ((sum(sum(p[0::2]) for p in strata), sum(sum(p[1::2]) for p in strata)),
             (orbits, orbits), tuple(molien))
 
 

@@ -14,10 +14,10 @@ from gldual.bernstein import (
     enumerate_strata,
     orbit_stratum_bijection,
 )
+from gldual.cohomology import _centralizer_order
 from gldual.errors import LimitExceeded
 from gldual.parameters import OrbitDescriptor, orbit_shape
-from gldual.partitions import OUTPUT_LIMIT, centralizer_order, multipartitions, \
-    part_multiplicities, partitions
+from gldual.partitions import OUTPUT_LIMIT, multipartitions, part_multiplicities, partitions
 from gldual.verify import _compositions
 
 
@@ -95,7 +95,7 @@ def test_centralizer_orders_sum_to_group_order():
     import math
 
     for n in range(1, 8):
-        assert sum(math.factorial(n) // centralizer_order(p) for p in partitions(n)) \
+        assert sum(math.factorial(n) // _centralizer_order(p) for p in partitions(n)) \
             == math.factorial(n)
 
 

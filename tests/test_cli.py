@@ -514,6 +514,45 @@ def test_wrong_json_types_are_refused_by_flag(capsys, name):
     assert report["error"] == {"type": "validation", "message": message}
 
 
+_PARENTHESES = "shorthand must be integers in one pair of parentheses, like '(2,1)'"
+_NOT_JSON = "is not JSON: Expecting value: line 1 column 1 (char 0)"
+# malformed shorthand and text that is not JSON: the shorthands were read as
+# '(2,1)', '{q,1}', '{q}' and '(2)', and the JSON error did not name the flag
+_MALFORMED = {
+    "hp-component-empty-entry": (["hp", "--component", "(2,,1)"],
+                                 "--component shorthand has an empty entry"),
+    "hp-component-trailing-comma": (["hp", "--component", "(2,1,)"],
+                                    "--component shorthand has an empty entry"),
+    "hp-component-unclosed": (["hp", "--component", "(2,1"], "--component " + _PARENTHESES),
+    "hp-component-nested": (["hp", "--component", "((2,1))"], "--component " + _PARENTHESES),
+    "fiber-point-empty-entry": (["fiber", "--component", "(2)", "--point", "{q,,1}"],
+                                "--point shorthand has an empty entry"),
+    "fiber-point-leading-comma": (["fiber", "--component", "(1)", "--point", "{,q}"],
+                                  "--point shorthand has an empty entry"),
+    "project-cycle-bare": (["project", "--component", "(2)", "--cycle", "2", "--coords", "{q}"],
+                           "--cycle " + _PARENTHESES),
+    "project-coords-empty-entry": (["project", "--component", "(2)", "--cycle", "(2)",
+                                    "--coords", "{q,}"], "--coords shorthand has an empty entry"),
+    "hp-component-not-json": (["hp", "--component", "abc"], "--component " + _NOT_JSON),
+    "temper-input-not-json": (["temper", "--input", "abc"], "--input " + _NOT_JSON),
+    "symcoords-points-not-json": (["symcoords", "--points", "abc"], "--points " + _NOT_JSON),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_malformed_text_is_refused_by_flag(capsys, name):
+    argv, message = _MALFORMED[name]
+    code, report, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert report["error"] == {"type": "validation", "message": message}
+
+
+def test_braces_inside_a_scalar_stay_legal(capsys):
+    _, _, braced = run_cli(capsys, "fiber", "--component", "(2)", "--point", "{q^{-1/2},q^{1/2}}")
+    code, _, plain = run_cli(capsys, "fiber", "--component", "(2)", "--point", "{q^-1/2,q^1/2}")
+    assert code == 0 and braced == plain
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="this interpreter reads integers of any length")
 @pytest.mark.parametrize("name", sorted(_TOO_MANY_DIGITS))

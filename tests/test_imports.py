@@ -79,7 +79,7 @@ def test_only_the_verify_verb_loads_the_regression_suite():
 SURFACE = {
     "bernstein": ["Block", "Component", "CycleType", "Stratum", "enumerate_orbits",
                   "enumerate_strata", "orbit_stratum_bijection"],
-    "cohomology": ["PermutationAction", "PoincarePolynomial", "component_hp",
+    "cohomology": ["PermutationAction", "component_hp",
                    "invariant_exterior_dims", "orbit_hp_dimension", "orbit_poincare",
                    "stratum_poincare", "tempered_orbit_poincare", "HP_LIMIT"],
     "errors": ["LimitExceeded", "RootFindingError"],

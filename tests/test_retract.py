@@ -217,7 +217,7 @@ def test_compact_orbit():
     assert two.multiplicities == (1, 1)
     # every determinant is unitary, so the compact orbit is defined
     for o in (orbit, doubled, two):
-        assert tempered_orbit_poincare(o).coeffs[0] == 1
+        assert tempered_orbit_poincare(o)[0] == 1
 
 
 def test_compact_orbit_rejects_non_unitary_det():

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gldual.bernstein import Block, Component, CycleType, Stratum
-from gldual.cohomology import PermutationAction, PoincarePolynomial
+from gldual.cohomology import PermutationAction
 from gldual.parameters import (TRIVIAL, InertialClass, LParameter, OrbitDescriptor, WeilLabel,
                                _class_key, _summand_key)
 from gldual.qproj import StratumPoint, SymPoint
@@ -49,9 +49,6 @@ VALUES = {
     Stratum: (lambda: STRATUM,
               lambda: Stratum(Component.from_exponents((3,)), CycleType(((2, 1),))),
               lambda: Stratum(Component.from_exponents((3,)), CycleType(((3,),)))),
-    PoincarePolynomial: (lambda: PoincarePolynomial((1, 2, 1)),
-                         lambda: PoincarePolynomial([1, 2, 1, 0]),
-                         lambda: PoincarePolynomial((1, 1))),
     PermutationAction: (lambda: PermutationAction((2, 1)), lambda: PermutationAction((2, 1)),
                         lambda: PermutationAction((1, 2))),
     SymPoint: (lambda: SymPoint(((q_power(1), ONE),)), lambda: SymPoint(((ONE, q_power(1)),)),
