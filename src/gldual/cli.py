@@ -9,7 +9,9 @@ code 1, which only `verify` returns.  No known input reaches it; one that
 does has found a fault of the program.  Components and points are passed
 inline as JSON (or `@file`), with a compact shorthand for the common cases: a
 component `(2,1)` means unit blocks with those exponents, and a scalar
-multiset `{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`.
+multiset `{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`,
+in exactly one enclosing pair of braces; `;` separates the blocks of a point
+inside it, and `q^{r}` takes one pair of its own.
 Every JSON member is read by `gldual._value._json_field` and refused by its full
 path, missing, of the wrong type or unparsed: `summands[0].j is missing`.
 
@@ -95,7 +97,10 @@ def parse_scalar(text: str):
         if factor == "q":
             q_exp += 1
         elif factor.startswith("q^"):
-            q_exp += exact_rational(factor[2:].strip().strip("{}"), "q exponent")
+            exponent = factor[2:].strip()
+            if exponent.startswith("{") and exponent.endswith("}"):  # q^{r}: one pair
+                exponent = exponent[1:-1]
+            q_exp += exact_rational(exponent, "q exponent")
         elif factor.startswith("e(") and factor.endswith(")"):
             turn += exact_rational(factor[2:-1].strip(), "turn")
         else:
@@ -112,17 +117,33 @@ def _parse_component(text: str):
     return Component.from_json(_decode_json(text, "--component", dict))
 
 
-def _parse_scalar_list(text: str, flag: str) -> tuple:
-    return tuple(parse_scalar(tok) for tok in _entries(text.strip().strip("{}"), flag))
+def _braced(text: str, flag: str) -> str:
+    """The text inside the one pair of braces that encloses a scalar shorthand."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError("%s shorthand must be scalars in one pair of braces, like '{q,1}'"
+                         % flag)
+    return text[1:-1]
+
+
+def _parse_scalar_list(inner: str, flag: str) -> tuple:
+    """The comma-separated scalars of one block of a shorthand, refused by `flag`."""
+    entries = _entries(inner, flag)
+    try:
+        return tuple(map(parse_scalar, entries))
+    except ValueError as exc:
+        raise ValueError("%s shorthand: %s" % (flag, exc)) from None
 
 
 def _parse_sym_point(text: str):
     from .qproj import SymPoint
 
     text = _load_text(text).strip()
-    # '{"blocks": ...}' and '{}' are JSON; any other '{...}' is the scalar shorthand
+    # '{"blocks": ...}' and '{}' are JSON; any other '{...' is the scalar shorthand,
+    # its blocks separated by ';' inside one pair of braces
     if text.startswith("{") and not text[1:].lstrip().startswith(('"', "}")):
-        return SymPoint(tuple(_parse_scalar_list(part, "--point") for part in text.split(";")))
+        return SymPoint(tuple(_parse_scalar_list(block, "--point")
+                              for block in _braced(text, "--point").split(";")))
     return SymPoint.from_json(_decode_json(text, "--point", dict))
 
 
@@ -195,7 +216,7 @@ def _stratum_point_from_args(args):
     if len(component.blocks) != 1:
         raise ValueError("--cycle shorthand requires a single-block component")
     stratum = Stratum(component, CycleType((parts,)))
-    return StratumPoint(stratum, _parse_scalar_list(args.coords, "--coords"))
+    return StratumPoint(stratum, _parse_scalar_list(_braced(args.coords, "--coords"), "--coords"))
 
 
 def _cmd_project(args) -> tuple[int, dict]:

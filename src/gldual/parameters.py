@@ -63,7 +63,8 @@ class InertialClass(Value):
     """rho tensor spin(j): an irreducible parameter up to unramified twist.
 
     The constructor also keeps j as its JSON text, in `_j`, which is not a
-    field: equality, hash and repr read `rho` and `spin_j` alone.
+    field: equality, hash and repr read `rho` and `spin_j` alone, and the run
+    reader of `orbit_of` and the retraction compares `(rho, _j)`.
     """
 
     _fields = ("rho", "spin_j")
@@ -203,28 +204,28 @@ def dimension(phi: LParameter) -> int:
     return sum(cls.dimension for cls, _ in phi.summands)
 
 
+def _class_runs(summands):
+    """The runs of equal classes of a checked parameter's summands, in order, each
+    as a tuple of its summands.  The parameter keeps equal classes adjacent, so
+    only neighbours are compared: by identity, then by `(rho, _j)`, the label and
+    the canonical text of j that every instance keeps, which are equal exactly
+    when the classes are.  It hashes no class and compares no `Fraction`."""
+    start, first = 0, summands[0][0]
+    for i in range(1, len(summands)):
+        cls = summands[i][0]
+        if cls is not first and (cls.rho, cls._j) != (first.rho, first._j):
+            yield summands[start:i]
+            start, first = i, cls
+    yield summands[start:]
+
+
 def orbit_of(phi: LParameter) -> OrbitDescriptor:
     """Forget the twists and group equal inertial classes with multiplicities."""
-    # A checked parameter is sorted by class key first, so equal classes are
-    # adjacent and the runs come in key order: one pass counts each run and
-    # keeps its first instance, with no hash and no sort.  The counts are
-    # positive and the labels consistent, as the parameter's were.
-    entries = []
-    run, count = phi.summands[0][0], 0
-    for cls, _ in phi.summands:
-        if cls is run or cls == run:
-            count += 1
-        else:
-            entries.append((run, count))
-            run, count = cls, 1
-    entries.append((run, count))
-    return OrbitDescriptor._trusted(tuple(entries))
-
-
-def _retwisted(summands) -> LParameter:
-    """`summands` as a parameter in canonical order, unchecked: for a checked
-    parameter's classes with new twists that are valid by construction."""
-    return LParameter._trusted(tuple(sorted(summands, key=_summand_key)))
+    # Each run of equal classes becomes one entry, its first instance with the
+    # run's length, and the runs come in key order: no hash and no sort.  The
+    # counts are positive and the labels consistent, as the parameter's were.
+    return OrbitDescriptor._trusted(tuple((run[0][0], len(run))
+                                          for run in _class_runs(phi.summands)))
 
 
 def orbit_shape(orbit: OrbitDescriptor) -> tuple[int, int]:

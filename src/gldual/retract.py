@@ -11,17 +11,19 @@ On a parameter, which was checked when it was built, the new twists keep its
 reduced turns and the classes stay, so both maps build their output unchecked
 through `LParameter._trusted` and `QScalar._trusted`; the point maps use the
 checked constructors.  A parameter keeps its summands sorted by (class key,
-q_exp, turn).  For t < 1 the homotopy multiplies every q_exp by s = 1 - t > 0,
+q_exp, turn).  For 0 < t < 1 the homotopy multiplies every q_exp by s = 1 - t > 0,
 which keeps that order exactly, so it builds its output in the input's order.
-Only tempering re-sorts, `temper_parameter` and the homotopy at t = 1: every
-q_exp becomes 0 there, and the turns then order the summands of each class.
+Tempering makes every q_exp 0, so the turns alone order the summands within
+each run of equal classes: `temper_parameter` sorts the runs of more than one
+summand by turn and copies the others.  The homotopy returns its input at
+t = 0 and the tempered parameter at t = 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .parameters import LParameter, _retwisted
+from .parameters import LParameter, _class_runs
 from .qproj import StratumPoint
 from .scalars import QScalar, _fraction
 
@@ -35,10 +37,20 @@ __all__ = [
 _ZERO = Fraction(0)  # the modulus exponent of every tempered twist
 
 
+def _turn(summand):
+    return summand[1].turn
+
+
 def temper_parameter(phi: LParameter) -> LParameter:
     """Replace every twist by its unit part."""
     scalar = QScalar._trusted
-    return _retwisted([(cls, scalar(_ZERO, twist.turn)) for cls, twist in phi.summands])
+    summands = []
+    for run in _class_runs(phi.summands):
+        tempered = [(cls, scalar(_ZERO, twist.turn)) for cls, twist in run]
+        if len(tempered) > 1:
+            tempered.sort(key=_turn)
+        summands += tempered
+    return LParameter._trusted(tuple(summands))
 
 
 def _check_t(t) -> Fraction:
@@ -50,11 +62,19 @@ def _check_t(t) -> Fraction:
 
 def homotopy(phi: LParameter, t) -> LParameter:
     """Contract the twist moduli by (1 - t); t = 0 is the identity, t = 1 tempers."""
-    s = 1 - _check_t(t)
+    t = _check_t(t)
+    if not t:
+        return phi
+    if t == 1:
+        return temper_parameter(phi)
+    # s = 1 - t = a/b in lowest terms; each modulus is scaled in integers
+    a, b = t.denominator - t.numerator, t.denominator
     scalar = QScalar._trusted
-    summands = [(cls, scalar(s * twist.q_exp, twist.turn)) for cls, twist in phi.summands]
-    # s > 0 keeps the (class key, q_exp, turn) order; s = 0 tempers, which re-sorts
-    return LParameter._trusted(tuple(summands)) if s else _retwisted(summands)
+    summands = []
+    for cls, twist in phi.summands:
+        q = twist.q_exp
+        summands.append((cls, scalar(Fraction(a * q.numerator, b * q.denominator), twist.turn)))
+    return LParameter._trusted(tuple(summands))
 
 
 def temper_point(point: StratumPoint) -> StratumPoint:

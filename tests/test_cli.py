@@ -516,8 +516,10 @@ def test_wrong_json_types_are_refused_by_flag(capsys, name):
 
 _PARENTHESES = "shorthand must be integers in one pair of parentheses, like '(2,1)'"
 _NOT_JSON = "is not JSON: Expecting value: line 1 column 1 (char 0)"
+_BRACES = "shorthand must be scalars in one pair of braces, like '{q,1}'"
 # malformed shorthand and text that is not JSON: the shorthands were read as
-# '(2,1)', '{q,1}', '{q}' and '(2)', and the JSON error did not name the flag
+# '(2,1)', '{q,1}', '{q}', '(2)' and '{q^(1/2)}', and the JSON error did not
+# name the flag
 _MALFORMED = {
     "hp-component-empty-entry": (["hp", "--component", "(2,,1)"],
                                  "--component shorthand has an empty entry"),
@@ -533,6 +535,18 @@ _MALFORMED = {
                            "--cycle " + _PARENTHESES),
     "project-coords-empty-entry": (["project", "--component", "(2)", "--cycle", "(2)",
                                     "--coords", "{q,}"], "--coords shorthand has an empty entry"),
+    "fiber-point-unclosed-brace": (["fiber", "--component", "(1)", "--point", "{q"],
+                                   "--point " + _BRACES),
+    "fiber-point-nested-braces": (["fiber", "--component", "(1)", "--point", "{{q}}"],
+                                  "--point shorthand: cannot parse scalar factor '{q}'"),
+    "fiber-point-exponent-braces-reversed": (
+        ["fiber", "--component", "(1)", "--point", "{q^}1/2{}"],
+        "--point shorthand: q exponent must be an integer or a rational string, got '}1/2{'"),
+    "fiber-point-exponent-braces-nested": (
+        ["fiber", "--component", "(1)", "--point", "{q^{{1/2}}}"],
+        "--point shorthand: q exponent must be an integer or a rational string, got '{1/2}'"),
+    "project-coords-bare": (["project", "--component", "(1)", "--cycle", "(1)", "--coords", "q"],
+                            "--coords " + _BRACES),
     "hp-component-not-json": (["hp", "--component", "abc"], "--component " + _NOT_JSON),
     "temper-input-not-json": (["temper", "--input", "abc"], "--input " + _NOT_JSON),
     "symcoords-points-not-json": (["symcoords", "--points", "abc"], "--points " + _NOT_JSON),
@@ -551,6 +565,15 @@ def test_braces_inside_a_scalar_stay_legal(capsys):
     _, _, braced = run_cli(capsys, "fiber", "--component", "(2)", "--point", "{q^{-1/2},q^{1/2}}")
     code, _, plain = run_cli(capsys, "fiber", "--component", "(2)", "--point", "{q^-1/2,q^1/2}")
     assert code == 0 and braced == plain
+
+
+def test_blocks_share_one_pair_of_braces(capsys):
+    code, report, _ = run_cli(capsys, "fiber", "--component", "(1,1)", "--point", "{q;1}")
+    assert code == 0 and report["count"] == 1
+    assert report["point"]["blocks"] == [[{"q_exp": "1", "turn": "0"}],
+                                         [{"q_exp": "0", "turn": "0"}]]
+    code, _, _ = run_cli(capsys, "fiber", "--component", "(1,1)", "--point", "{q};{1}")
+    assert code == 2
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -848,8 +871,12 @@ _scalar_text = _field(st.sampled_from(["1", "q", "q^-1", "q^1/2", "e(1/3)", "q^2
                       _text_junk)
 
 
+def _scalar_entries(n):
+    return st.lists(_scalar_text, min_size=n, max_size=n).map(",".join)
+
+
 def _scalars(n):
-    return st.lists(_scalar_text, min_size=n, max_size=n).map(lambda ts: "{%s}" % ",".join(ts))
+    return _scalar_entries(n).map(lambda entries: "{%s}" % entries)
 
 
 def _shorthand(values):
@@ -872,7 +899,7 @@ def _project_argv(draw):
 @st.composite
 def _fiber_argv(draw):
     exponents = draw(_exponents)
-    point = ";".join(draw(_scalars(e)) for e in exponents)
+    point = "{%s}" % ";".join(draw(_scalar_entries(e)) for e in exponents)
     return ["fiber", "--component", draw(_field(st.just(_shorthand(exponents)), _text_junk)),
             "--point", draw(_field(st.just(point), _text_junk))]
 

@@ -1,10 +1,12 @@
 from collections import Counter
 from fractions import Fraction as F
+from itertools import groupby
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gldual import parameters
 from gldual.parameters import (
     TRIVIAL,
     InertialClass,
@@ -117,6 +119,42 @@ def test_unchecked_orbit_of_equals_its_checked_construction(phi):
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     assert all(type(m) is int and m >= 1 for _, m in orbit.classes)
     assert all(type(c.spin_j) is F for c, _ in orbit.classes)
+
+
+def _run_lengths(phi):
+    return [len(run) for run in parameters._class_runs(phi.summands)]
+
+
+def test_class_runs_split_exactly_at_unequal_classes():
+    a, b = WeilLabel("a"), WeilLabel("a")  # distinct objects of equal value
+    twists = [QScalar(F(i), F(0)) for i in range(3)]
+    # spins 0 and 1 are separate runs; 1/2 and 2/4 are one, as are equal labels
+    assert _run_lengths(LParameter(((cls(j=0), ONE), (cls(j=1), ONE)))) == [1, 1]
+    assert _run_lengths(LParameter(((cls(j=F(1, 2)), twists[0]),
+                                    (cls(j=F(2, 4)), twists[1]),
+                                    (InertialClass(TRIVIAL, "1/2"), twists[2])))) == [3]
+    assert _run_lengths(LParameter(((InertialClass(a), twists[0]),
+                                    (InertialClass(b), twists[1])))) == [2]
+    assert _run_lengths(LParameter(((InertialClass(a), ONE), (InertialClass(WeilLabel("b")), ONE),
+                                    (InertialClass(b), twists[1])))) == [2, 1]
+
+
+@given(st.one_of(params, mixed_params, copied_params))
+def test_class_runs_compare_no_class_and_no_fraction(phi):
+    # the runs are the groups of equal classes in key order, found without a
+    # class comparison, a Fraction comparison or a hash
+    expected = [len(list(group)) for _, group in groupby(c.key() for c, _ in phi.summands)]
+
+    def refuse(*args):
+        raise AssertionError("compared or hashed a class or a Fraction")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__eq__", "__ne__", "__hash__"):
+            patch.setattr(InertialClass, name, refuse)
+            patch.setattr(F, name, refuse)
+        runs = list(parameters._class_runs(phi.summands))
+    assert [len(run) for run in runs] == expected
+    assert sum(runs, ()) == phi.summands
 
 
 @given(params)

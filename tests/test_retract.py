@@ -96,11 +96,22 @@ def test_unchecked_homotopy_equals_its_checked_construction(phi, t):
 
 
 @given(st.one_of(params, mixed_params))
+def test_temper_sorts_the_turns_within_each_run(phi):
+    # the whole-parameter sort by the canonical key, as an oracle: the same
+    # summands in the same order, each class instance kept with its own twist
+    oracle = sorted(((c, tw.unit_part()) for c, tw in phi.summands), key=parameters._summand_key)
+    result = temper_parameter(phi).summands
+    assert result == tuple(oracle)
+    assert all(c is d for (c, _), (d, _) in zip(result, oracle))
+
+
+@given(st.one_of(params, mixed_params))
 def test_orbit_and_homotopy_read_the_canonical_order(phi):
-    # neither hashes a class nor computes a sort key: the checked parameter's
-    # order is used as it is
+    # none of them hashes a class or computes a sort key: the checked
+    # parameter's order is used as it is
     orbit = OrbitDescriptor(tuple(Counter(c for c, _ in phi.summands).items()))
     moved = LParameter(tuple((c, QScalar(tw.q_exp / 2, tw.turn)) for c, tw in phi.summands))
+    tempered = LParameter(tuple((c, tw.unit_part()) for c, tw in phi.summands))
 
     def refuse(*args):
         raise AssertionError("hashed a class or computed a sort key")
@@ -111,11 +122,15 @@ def test_orbit_and_homotopy_read_the_canonical_order(phi):
         patch.setattr(parameters, "_summand_key", refuse)
         assert orbit_of(phi) == orbit
         assert homotopy(phi, F(1, 2)).summands == moved.summands
+        assert temper_parameter(phi).summands == tempered.summands
+        assert homotopy(phi, 1).summands == tempered.summands
+        assert homotopy(phi, 0) is phi
 
 
 @given(params)
 def test_homotopy_endpoints(phi):
-    assert homotopy(phi, 0) == phi
+    assert homotopy(phi, 0) is phi
+    assert homotopy(phi, F(0)) is phi
     assert homotopy(phi, 1) == temper_parameter(phi)
 
 
