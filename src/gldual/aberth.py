@@ -5,7 +5,10 @@ Math. Comp. 27; Bini 1996, Numer. Algorithms 13) in two phases: at most
 MAX_STEPS steps in complex doubles until every residual is under the Horner
 rounding bound, then polish sweeps of the same correction with p/p' evaluated
 exactly over the Gaussian integers (every double is an integer over a power of
-two).  A polished simple root is a fixed point of that correction, so it is
+two).  A sweep visits only the roots for which some root has moved since their
+last visit, and each point is evaluated exactly once per call: the other roots
+would stay put again, and the exact ratio is a function of the double alone.
+A polished simple root is a fixed point of that correction, so it is
 the double nearest a root of the exact polynomial that the coefficients
 define, up to the one rounding of the correction.  A multiple root at a double
 comes back exactly only at small multiplicity m: the root 2 for m <= 6, but as
@@ -48,9 +51,10 @@ def polyroots(c: list[complex]) -> list[complex]:
     if max(abs(b[-1].real), abs(b[-1].imag)) < sys.float_info.min:  # zero or subnormal
         raise RootFindingError("the roots span more magnitudes than the doubles hold")
     exact = _Polynomial(c, s)
+    pairs = [(x, abs(x)) for x in b[1:]]
     try:
-        w = _aberth(b)
-        _polish(exact, [abs(x) for x in b], w)
+        w = _aberth(_initial_guesses(b), pairs)
+        _polish(exact, pairs, w)
         out = [complex(math.ldexp(x.real, s), math.ldexp(x.imag, s)) for x in w]
     except ArithmeticError as exc:  # an overflow or a zero divisor in double arithmetic
         raise RootFindingError("root finding failed in double arithmetic: %s" % exc) from exc
@@ -58,13 +62,17 @@ def polyroots(c: list[complex]) -> list[complex]:
                     0.0 if abs(r.imag) < EPS * abs(r.real) else r.imag) for r in out]
 
 
-def _rounding_bound(mags, r: float) -> float:
-    """Horner's rounding bound on the computed p(w), |w| = r, with mags the
-    coefficient magnitudes |b_k|: 4n*EPS*sum |b_k| r^(n-k)."""
-    bound = 0.0
-    for x in mags:
-        bound = bound * r + x
-    return 4 * (len(mags) - 1) * EPS * bound
+def _double_horner(pairs, w: complex):
+    """(p, p', bound) at w in complex doubles, for the monic polynomial whose
+    other coefficients b_k come with their magnitudes in pairs: bound is
+    Horner's rounding bound on the computed p, 4n*EPS*sum |b_k| |w|^(n-k)."""
+    r = abs(w)
+    p, dp, bound = 1 + 0j, 0j, 1.0
+    for x, mag in pairs:
+        dp = dp * w + p
+        p = p * w + x
+        bound = bound * r + mag
+    return p, dp, 4 * len(pairs) * EPS * bound
 
 
 def _initial_guesses(b) -> list[complex]:
@@ -89,24 +97,19 @@ def _initial_guesses(b) -> list[complex]:
     return guesses
 
 
-def _aberth(b) -> list[complex]:
-    """Phase one: Aberth-Ehrlich steps in complex doubles on the monic b.  A
-    root is frozen once its residual is under the rounding bound."""
-    n, mags = len(b) - 1, [abs(x) for x in b]
-    w = _initial_guesses(b)
-    pending = list(range(n))
+def _aberth(w: list[complex], pairs) -> list[complex]:
+    """Phase one: Aberth-Ehrlich steps in complex doubles from the guesses w.
+    A root is frozen once its residual is under the rounding bound."""
+    pending = list(range(len(w)))
     for _ in range(MAX_STEPS):
         still = []
         for i in pending:
             wi = w[i]
-            p, dp = 1 + 0j, 0j
-            for x in b[1:]:
-                dp = dp * wi + p
-                p = p * wi + x
-            if abs(p) <= _rounding_bound(mags, abs(wi)) < math.inf:
+            p, dp, bound = _double_horner(pairs, wi)
+            if abs(p) <= bound < math.inf:
                 continue
             ratio = p / dp
-            w[i] = wi - ratio / (1 - ratio * sum(1 / (wi - w[j]) for j in range(n) if j != i))
+            w[i] = wi - ratio / (1 - ratio * sum(1 / (wi - x) for x in w[:i] + w[i + 1:]))
             still.append(i)
         pending = still
         if not pending:
@@ -114,20 +117,36 @@ def _aberth(b) -> list[complex]:
     raise RootFindingError("Aberth iteration did not converge in %d steps" % MAX_STEPS)
 
 
-def _polish(exact: _Polynomial, mags, w: list[complex]) -> None:
+def _polish(exact: _Polynomial, pairs, w: list[complex]) -> None:
     """Phase two: Aberth sweeps with the exact Newton ratio, until no root
     moves.  Approximants still moving after POLISH_SWEEPS close in linearly
     on a multiple root: a cluster of m of them becomes the m-fold root when
     there is one at a double, and every other root must pass the rounding
-    bound with its exact residual."""
-    n = len(w)
+    bound with its exact residual.
+
+    A sweep visits a root only if some root has moved since its last visit:
+    otherwise its ratio and its repulsion are what they were, and it stays put
+    again.  A root that moves is visited in the next sweep.  Each point is
+    evaluated exactly once per call: the ratio is a function of the double
+    alone, and 0.0 and -0.0, which compare equal, are the same rational."""
+    ratios = {}  # approximant -> exact.newton(approximant)
+
+    def newton(z: complex):
+        if z not in ratios:
+            ratios[z] = exact.newton(z)
+        return ratios[z]
+
+    moves, visited = 0, [-1] * len(w)  # visited[i]: moves before the last visit of root i
     for _ in range(POLISH_SWEEPS):
         moved = []
         for i, wi in enumerate(w):
-            ratio = exact.newton(wi)
+            if visited[i] == moves:
+                continue
+            visited[i] = moves
+            ratio = newton(wi)
             if ratio == 0:  # an exact root
                 continue
-            repulsion = sum(1 / (wi - w[j]) for j in range(n) if j != i)
+            repulsion = sum(1 / (wi - x) for x in w[:i] + w[i + 1:])
             # p' = 0 != p: the correction's limit as p/p' grows without bound
             new = wi + 1 / repulsion if ratio is None else wi - ratio / (1 - ratio * repulsion)
             if new != wi:
@@ -135,6 +154,7 @@ def _polish(exact: _Polynomial, mags, w: list[complex]) -> None:
                     raise RootFindingError("the polish step left the range of doubles")
                 w[i] = new
                 moved.append(i)
+                moves += 1
         if not moved:
             return
     while moved:
@@ -145,7 +165,7 @@ def _polish(exact: _Polynomial, mags, w: list[complex]) -> None:
         if m > 1:
             root = sum(w[j] for j in cluster) / m
             for _ in range(2):  # Schroeder's step m*p/p', quadratic on an m-fold root
-                ratio = exact.newton(root)
+                ratio = newton(root)
                 if not ratio:
                     break
                 root -= m * ratio
@@ -153,7 +173,7 @@ def _polish(exact: _Polynomial, mags, w: list[complex]) -> None:
                 for j in cluster:
                     w[j] = root
                 continue
-        if any(exact.residual(w[j]) > _rounding_bound(mags, abs(w[j])) for j in cluster):
+        if any(exact.residual(w[j]) > _double_horner(pairs, w[j])[2] for j in cluster):
             raise RootFindingError("the exact residual of a moving root exceeds the rounding "
                                    "bound after %d polish sweeps" % POLISH_SWEEPS)
 

@@ -1,5 +1,7 @@
 import cmath
+import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import gldual.aberth
+import gldual.symfun
 from gldual.errors import LimitExceeded, RootFindingError
 from gldual.symfun import ROOTS_LIMIT, SymCoords, from_sym_coords, match_multisets, to_sym_coords
 
@@ -120,6 +123,32 @@ def test_match_multisets_is_optimal_not_greedy():
 def test_match_multisets_size_mismatch():
     with pytest.raises(ValueError):
         match_multisets([1], [1, 2])
+
+
+def test_match_multisets_certificate_agrees_with_the_hungarian_algorithm(monkeypatch):
+    # separated round trips: every root has one nearest recovered root, and the
+    # certificate answers without the Hungarian algorithm
+    hungarian = gldual.symfun._hungarian
+    calls = []
+    monkeypatch.setattr(gldual.symfun, "_hungarian", lambda cost: calls.append(cost) or hungarian(cost))
+
+    def hungarian_pairs(a, b):
+        return hungarian([[abs(x - y) for y in b] for x in a])
+
+    for n in range(2, 13):
+        rng = random.Random(n)
+        for _ in range(25):
+            roots = random_roots(rng, n)
+            recovered = from_sym_coords(to_sym_coords(roots))
+            assert match_multisets(roots, recovered) == hungarian_pairs(roots, recovered)
+    assert not calls
+    # duplicates, equidistant ties and the greedy counterexample: two rows want
+    # one column, or a row has two nearest columns
+    cases = [([2, 2, -1], from_sym_coords(to_sym_coords([2, 2, -1]))),
+             ([0, 2], [1, 1]), ([1, -1], [1j, -1j]), ([1.0, 0.9], [0.95, 2.0])]
+    for a, b in cases:
+        assert match_multisets(a, b) == hungarian_pairs(a, b)
+    assert len(calls) == len(cases)
 
 
 def _brute_force_minimum(a, b):
@@ -241,6 +270,86 @@ def test_exact_multiplicity_test_stops_at_the_first_remainder(s, w):
     cubic = gldual.aberth._Polynomial([1.0, -7.0, 16.0, -12.0], s)
     assert cubic.has_root(w, 2)
     assert not cubic.has_root(w, 3)
+
+
+def _exact_evaluations(monkeypatch, roots):
+    """The points passed to _Polynomial.newton and the number of multiplicity
+    tests while recovering the roots."""
+    newton, has_root = gldual.aberth._Polynomial.newton, gldual.aberth._Polynomial.has_root
+    points, tests = [], []
+    monkeypatch.setattr(gldual.aberth._Polynomial, "newton",
+                        lambda self, w: points.append(w) or newton(self, w))
+    monkeypatch.setattr(gldual.aberth._Polynomial, "has_root",
+                        lambda self, w, m: tests.append(w) or has_root(self, w, m))
+    from_sym_coords(to_sym_coords(roots))
+    return points, len(tests)
+
+
+@pytest.mark.parametrize("roots, cluster_step", [
+    ([0.3 + 0.7j, -1, 3, -2j, 1 + 1j, -3 + 0.5j, 0.5, 2.5 - 1.5j], False),
+    ([2, 2, -1, 3j, -2j, 1 + 1j, -3 + 0.5j, 0.5], True),
+])
+def test_polish_evaluates_each_point_once(monkeypatch, roots, cluster_step):
+    points, tests = _exact_evaluations(monkeypatch, roots)
+    assert len(points) == len(set(points))
+    assert (tests > 0) == cluster_step  # the double root is settled by the cluster step
+
+
+def _corpus_point(rng, spread=2):
+    # a mantissa from uniform() scaled by 2**e: no libm call, so the inputs
+    # are the same doubles on every platform
+    return complex(math.ldexp(rng.uniform(-1, 1), rng.randint(-3 * spread, 3 * spread)),
+                   math.ldexp(rng.uniform(-1, 1), rng.randint(-3 * spread, 3 * spread)))
+
+
+def _polyroots_corpus():
+    """376 monic polynomials, as coefficient lists."""
+    def monic(roots):
+        sigma = to_sym_coords(roots).sigma
+        return [1 + 0j] + [-x if k % 2 == 0 else x for k, x in enumerate(sigma)]
+
+    rng = random.Random("polyroots corpus")
+    gaussian_integers = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+    for n in range(1, 15):  # separated roots
+        for _ in range(12):
+            yield monic([_corpus_point(rng) for _ in range(n)])
+    for _ in range(60):  # exact multiples at small Gaussian integers
+        roots = []
+        for _ in range(rng.randint(1, 3)):
+            roots += [rng.choice(gaussian_integers)] * rng.randint(2, 4)
+        yield monic(roots + [_corpus_point(rng) for _ in range(rng.randint(0, 2))])
+    for width in (1e-12, 1e-8, 1e-6, 1e-4):  # clusters
+        for _ in range(12):
+            centre = _corpus_point(rng, 0)
+            yield monic([centre * (1 + width * _corpus_point(rng, 0)) for _ in range(rng.randint(2, 6))]
+                        + [_corpus_point(rng) for _ in range(rng.randint(0, 4))])
+    for _ in range(40):  # roots on the axes
+        yield monic([complex(*rng.choice([(x.real, 0.0), (0.0, x.imag)]))
+                     for x in (_corpus_point(rng) for _ in range(rng.randint(1, 10)))])
+    for scale in (1e120, 1e-120):
+        for _ in range(15):
+            yield monic([scale * _corpus_point(rng, 0) for _ in range(rng.randint(1, 2))])
+        for _ in range(15):  # coefficients spread between 1 and 2**(+-399)
+            sign = 1 if scale > 1 else -1
+            yield [1 + 0j] + [math.ldexp(1, sign * rng.randint(0, 399)) * _corpus_point(rng, 0)
+                              for _ in range(rng.randint(1, 8))]
+
+
+def test_polyroots_corpus_is_bit_identical():
+    # every root's repr, or the refusal, of each polynomial in one SHA-256: a
+    # root that moves by one ulp changes it.  Pinned on x86-64 Linux, where
+    # CPython 3.10 to 3.13 give the same digest.
+    digest = hashlib.sha256()
+    count = 0
+    for c in _polyroots_corpus():
+        try:
+            text = ";".join("%r,%r" % (z.real, z.imag) for z in gldual.aberth.polyroots(c))
+        except RootFindingError as exc:
+            text = "error: %s" % exc
+        digest.update(text.encode() + b"\n")
+        count += 1
+    assert count == 376
+    assert digest.hexdigest() == "f35c9858ce73daf04e52b236896cf96acc38c45e928b726ee5618c466b6e271f"
 
 
 # --- parity with mpmath.polyroots, the root finder of earlier versions -------------------
