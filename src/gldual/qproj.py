@@ -9,10 +9,16 @@ its strings are integer segments covering the query's counts exactly.  One
 output-sensitive walk over the occupied positions enumerates them, and their
 cycle types sort them into strata.  The walk runs on integers alone: each
 occupied cell is keyed by the integers of its block, turn, q-line and
-position, and strings sort by the rank of their lowest cell, so it does no
-rational arithmetic and compares no scalar; each distinct string's scalar is
-built once, for the output.  Cells match by exact equality, so query points
-must be exact (floats are rejected, never snapped).
+position, and its cells are ranked by first occurrence.  A segment of length L
+from the cell of rank r in block b is one int, ((b + 1) * S - L) * S + r with
+S = (number of cells) + 1: as S is above every rank and every length, its
+base-S digits (b, S - L, r) sort as the tuple (b, -L, r) would, so a cover is
+one sort of small ints, and the walk does no rational arithmetic and compares
+no scalar.  Each distinct string's scalar is built once, for the output, from
+its lowest cell's integers: with scale s, that cell at position + offset/d on
+its q-line, the center's q_exp is s(2(d * position + offset) + d(L-1))/(2d).
+Cells match by exact equality, so query points must be exact (floats are
+rejected, never snapped).
 
 Neither map returns more than OUTPUT_LIMIT scalars; `fiber` counts them cover by
 cover.  Its walk is one flat loop over one list of open steps, each giving back
@@ -21,7 +27,6 @@ what it took when left, and every branch of it ends in a cover.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -170,16 +175,20 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
     # more, mark]: a step takes the `width` segments from `start` that reach
     # `end` out of rem[end], tries `more` of them going on, down to 0, each
     # after truncating `segments` to `mark`, and when left gives rem[end] back.
-    # A segment is recorded as its sort key: the strings of one block and
-    # length differ from their lowest cells by one common factor q^(s(L-1)/2),
-    # so they sort as (block, -L, rank of that cell), and each coordinate tuple
-    # of a stratum sorts as its tuple of ranks.
-    block_of = [cell[0] for cell in cells]
-    rank_of = [rank[cell] for cell in cells]
-    segments: list[tuple[int, int, int]] = []
+    # A segment is recorded as one int, its sort key: the strings of one block
+    # and length differ from their lowest cells by one common factor
+    # q^(s(L-1)/2), so they sort as (block, -L, rank of that cell), and each
+    # coordinate tuple of a stratum sorts as its tuple of ranks.  S, one more
+    # than the number of cells, is above every rank and every length, so the
+    # segment of length L from the cell of rank r in block b is the int
+    # ((b + 1) * S - L) * S + r with base-S digits (b, S - L, r), and ints sort
+    # as those tuples do; one cell longer is S less.
+    S = len(cells) + 1
+    lowest = [((cell[0] + 1) * S - 1) * S + rank[cell] for cell in cells]
+    segments: list[int] = []
     steps: list[list[int]] = []
-    # a cover's shape, its blocks and negated lengths in sorted order, names its stratum
-    found: dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[int, ...]]] = {}
+    # a cover's shape, the segments floor-divided by S in sorted order, names its stratum
+    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     size = 0
     start, end, width = 0, 0, rem[0]  # the step to open next; past the last cell, a cover
     while True:
@@ -191,8 +200,8 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
             size += len(segments)
             if size > OUTPUT_LIMIT:
                 raise LimitExceeded("the fiber exceeds the output limit %d" % OUTPUT_LIMIT)
-            blocks, negated, ranks = zip(*sorted(segments))
-            found.setdefault((blocks, negated), []).append(ranks)
+            cover = tuple(sorted(segments))
+            found.setdefault(tuple([segment // S for segment in cover]), []).append(cover)
         while steps and steps[-1][3] < 0:
             _, end, width, _, _ = steps.pop()
             rem[end] += width
@@ -202,7 +211,7 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
         start, end, width, more, mark = step
         step[3] = more - 1
         del segments[mark:]
-        segments.extend([(block_of[start], start - end - 1, rank_of[start])] * (width - more))
+        segments.extend([lowest[start] - (end - start) * S] * (width - more))
         if more:
             end, width = end + 1, more
         else:
@@ -211,26 +220,34 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
                 start += 1
             end, width = start, rem[start]
 
-    # One scalar per distinct string: a string's coordinate is its center, its
-    # lowest cell's scalar times q^(s(L-1)/2); already canonical, so unchecked.
-    @functools.cache
-    def coordinate(r: int, length: int) -> QScalar:
-        z = first[ranked[r]]
+    # One scalar per distinct string, built from its lowest cell's integers:
+    # that cell's q_exp is s(d * position + offset)/d, so the string's center,
+    # q^(s(L-1)/2) above it, has q_exp s(2(d * position + offset) + d(L-1))/(2d),
+    # one Fraction made from two ints; already canonical, so unchecked.
+    def center(segment: int) -> QScalar:
+        shape, r = divmod(segment, S)
+        length = S - shape % S
+        cell = ranked[r]
         if length == 1:
-            return z
-        scale = component.blocks[ranked[r][0]].q_scale
-        return QScalar._trusted(z.q_exp + scale * Fraction(length - 1, 2), z.turn)
+            return first[cell]
+        i, _, _, offset, d, position = cell
+        s = component.blocks[i].q_scale
+        q_exp = Fraction(s.numerator * (2 * (d * position + offset) + d * (length - 1)),
+                         s.denominator * 2 * d)
+        return QScalar._trusted(q_exp, first[cell].turn)
+
+    centers = {segment: center(segment) for segment in
+               set().union(*[cover for covers in found.values() for cover in covers])}
 
     # cycle types in lexicographic order are the strata in enumeration order;
-    # the coordinates come out blockwise, by descending length, then ascending
-    shapes = {tuple(tuple(-n for j, n in zip(*shape) if j == i)
+    # the coordinates come out blockwise, by descending length, then ascending.
+    # A shape's entries (b + 1) * S - L have the base-S digits (b, S - L).
+    shapes = {tuple(tuple(S - key % S for key in shape if key // S == i)
                     for i in range(len(component.blocks))): shape for shape in found}
     point = StratumPoint._trusted
     points = []
     for ct in sorted(shapes):
-        shape = shapes[ct]
         stratum = Stratum._trusted(component, CycleType._trusted(ct))
-        lengths = [-n for n in shape[1]]
-        points.extend(point(stratum, tuple(map(coordinate, ranks, lengths)))
-                      for ranks in sorted(found[shape]))
+        points.extend(point(stratum, tuple(map(centers.__getitem__, cover)))
+                      for cover in sorted(found[shapes[ct]]))
     return points

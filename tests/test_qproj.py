@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import itertools
+import json
 import math
 import random
 import time
@@ -420,3 +422,108 @@ def test_fiber_search_compares_no_scalar(monkeypatch):
         points = fiber(y, c)
     assert len(points) == 2 ** 7
     assert points == expected
+
+
+
+def test_fiber_does_no_fraction_arithmetic(monkeypatch):
+    # each center is one Fraction made from its lowest cell's integers
+    twisted = Component((Block("a", 8, F(1, 2)),))
+    c = Component((Block("y", 4, F(3, 2)), Block("x", 3)))
+    s = Stratum(c, CycleType(((3, 1), (2, 1))))
+    image = project(StratumPoint(s, (QScalar(F(1, 2), F(1, 3)), q_power(F(3, 2)),
+                                     unit(F(1, 3)), q_power(-1))))
+    queries = [(SymPoint((q_string(8, QScalar(F(1, 3), F(1, 4)), F(1, 2)),)), twisted),
+               (image, c)]
+    expected = [fiber(*query) for query in queries]
+
+    def refuse(self, other):
+        raise AssertionError("Fraction arithmetic")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+            patch.setattr(F, name, refuse)
+        points = [fiber(*query) for query in queries]
+    assert points == expected
+    assert [len(p) for p in points] == [2 ** 7, 8]
+
+
+@pytest.mark.parametrize("component, point", [
+    # a single cell, so segments are written in base 2
+    (Component.from_exponents((1,)), SymPoint(((QScalar(F(1, 3), F(1, 2)),),))),
+    (Component.from_exponents((3,)), SymPoint(((q_power(2),) * 3,))),
+    # one string spans every cell of the last block
+    (Component((Block("b", 1), Block("a", 4, F(1, 2)))),
+     SymPoint(((unit(F(1, 2)),), q_string(4, unit(F(1, 3)), F(1, 2))))),
+    # the highest rank, the last block's highest cell, in the last of three blocks
+    (Component((Block("c", 1, F(2)), Block("b", 1), Block("a", 3, F(1, 3)))),
+     SymPoint(((q_power(-1),), (ONE,), (q_power(F(1, 3)), q_power(F(2, 3)), q_power(F(5, 2)))))),
+])
+def test_fiber_equals_reference_at_the_edges_of_the_segment_encoding(component, point):
+    points = fiber(point, component)
+    assert points == fiber_reference(point, component)
+    _assert_canonical(points)
+
+# A seeded corpus of fiber queries whose outputs, points, strata and order,
+# are pinned by one hash: twisted q-strings of every length up to 12, pairs of
+# overlapping strings, images of stratum points, generic points up to degree
+# 40, and a refusal above the output limit, on components of one to three
+# blocks whose labels are not in block order.
+_CORPUS_SCALES = (F(1), F(1, 2), F(2), F(1, 3), F(3, 2))
+_CORPUS_HASH = "e6469ff188ef327b875a1adfbd6e96c4c99b382dadfc1bf1b5bee45e3f9b1d3b"
+
+
+def _fiber_corpus():
+    rng = random.Random(2028)
+
+    def scalar(exps=range(-6, 7)):
+        return QScalar(F(rng.choice(exps), rng.choice((1, 2, 3, 6))), F(rng.randrange(6), 6))
+
+    def component(exponents):
+        labels = rng.sample("abcdefgh", len(exponents))
+        if len(labels) > 1 and labels == sorted(labels):
+            labels.reverse()
+        return Component(tuple(Block(label, e, rng.choice(_CORPUS_SCALES))
+                               for label, e in zip(labels, exponents)))
+
+    def split(degree):
+        blocks = rng.randint(1, min(3, degree))
+        cuts = sorted(rng.sample(range(1, degree), blocks - 1))
+        return [b - a for a, b in zip([0, *cuts], [*cuts, degree])]
+
+    queries = []
+    for n in [*range(1, 13), *range(1, 13), 14]:
+        c = component((n,))
+        queries.append((c, SymPoint((q_string(n, scalar(), c.blocks[0].q_scale),))))
+    for _ in range(60):
+        a, b = rng.randint(1, 6), rng.randint(1, 6)
+        c = component((a + b,))
+        s, z = c.blocks[0].q_scale, scalar()
+        w = z.q_shift(s * F(rng.randint(-a - b, a + b), rng.choice((1, 1, 2))))
+        if rng.random() < 0.2:
+            w = QScalar(w.q_exp, w.turn + F(1, 2))
+        queries.append((c, SymPoint((q_string(a, z, s) + q_string(b, w, s),))))
+    for _ in range(110):
+        c = component(split(rng.randint(1, 11)))
+        s = Stratum(c, CycleType(tuple(rng.choice(list(partitions(e))) for e in c.exponents)))
+        coords = tuple(scalar(range(-2, 3)) for _ in range(s.torus_rank))
+        queries.append((c, project(StratumPoint(s, coords))))
+    for _ in range(100):
+        c = component(split(rng.randint(1, 40)))
+        queries.append((c, SymPoint(tuple(tuple(scalar(range(-30, 31)) for _ in range(e))
+                                          for e in c.exponents))))
+    c = Component((Block("y", 7, F(1, 2)), Block("x", 7)))
+    queries.append((c, SymPoint((q_string(7, ONE, F(1, 2)), q_string(7, ONE)))))
+    return queries
+
+
+def test_the_fiber_corpus_hash_is_pinned():
+    corpus = _fiber_corpus()
+    assert len(corpus) == 296
+    digest = hashlib.sha256()
+    for component, point in corpus:
+        try:
+            out = [p.to_json() for p in fiber(point, component)]
+        except LimitExceeded as e:
+            out = str(e)
+        digest.update(json.dumps(out, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == _CORPUS_HASH
