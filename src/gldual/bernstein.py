@@ -9,13 +9,15 @@ over the component, via the dictionary part alpha <-> spin((alpha-1)/2).
 
 Orbits are assembled from the multipartitions, not built one by one: each
 block gets one table from its partitions to their (inertial class,
-multiplicity) entries, sharing one class per (block, part), and an orbit
-concatenates its blocks' entries; both read runs of equal parts from
-`part_multiplicities`.  `enumerate_orbits` walks the multipartitions itself
-and builds no stratum.  The walks' output is valid by construction, so it is
-made by the unchecked positional constructors `Stratum._trusted`,
-`CycleType._trusted` and `OrbitDescriptor._trusted`; the public constructors
-and every `from_json` still check their input.  A walk has no degree limit:
+multiplicity) entries read off `part_multiplicities`, sharing one class per
+(block, part).  An orbit concatenates its blocks' entries in place, and a
+stratum's `sym_factors` its blocks' memoised `run_lengths`, so the walks and
+their JSON build their output and little else.  `enumerate_orbits` walks the
+multipartitions itself and builds no stratum.  The walks' output is valid by
+construction, so it is made by the unchecked positional constructors
+`Stratum._trusted`, `CycleType._trusted` and `OrbitDescriptor._trusted`; the
+public constructors and every `from_json` still check their input, and take
+an int alone for an exponent or a part.  A walk has no degree limit:
 `multipartitions` refuses one of more than OUTPUT_LIMIT items by its count,
 before anything is built.
 """
@@ -26,8 +28,8 @@ from fractions import Fraction
 
 from ._value import Value, _json_field, _json_objects, _json_of_type, set_field
 from .errors import LimitExceeded
-from .partitions import multipartitions, part_multiplicities, partitions
-from .scalars import _fraction, exact_int, exact_rational
+from .partitions import multipartitions, part_multiplicities, partitions, run_lengths
+from .scalars import _fraction, _integer, exact_int, exact_rational
 
 __all__ = [
     "Block",
@@ -51,7 +53,7 @@ class Block(Value):
             raise ValueError("block label must be a string, got %r" % (label,))
         if not label:
             raise ValueError("block label must be nonempty")
-        if exponent < 1:
+        if _integer(exponent, "block exponent") < 1:
             raise ValueError("block exponent must be >= 1")
         q_scale = _fraction(q_scale)
         if q_scale <= 0:
@@ -67,6 +69,7 @@ class Component(Value):
     _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[Block, ...]):
+        blocks = tuple(blocks)
         if not blocks:
             raise ValueError("a component needs at least one block")
         labels = [b.label for b in blocks]
@@ -110,8 +113,9 @@ class CycleType(Value):
     _fields = ("parts_per_block",)
 
     def __init__(self, parts_per_block: tuple[tuple[int, ...], ...]):
+        parts_per_block = tuple(map(tuple, parts_per_block))
         for parts in parts_per_block:
-            if any(p < 1 for p in parts):
+            if any(_integer(p, "a part") < 1 for p in parts):
                 raise ValueError("parts must be positive")
             if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
                 raise ValueError("parts must be weakly decreasing")
@@ -150,23 +154,28 @@ class Stratum(Value):
 
     def residual_blocks(self) -> tuple[int, ...]:
         """Multiplicity of each (block, part-size) pair in canonical order: the
-        lengths of the runs of equal parts.
+        lengths of the runs of equal parts, each block's memoised `run_lengths`
+        concatenated, as the JSON's `sym_factors`.
 
         These are the orbit blocks of the residual centralizer action: a
         symmetric group S_m permutes the coordinates of the m cycles of equal
         length within one block, so the stratum is a product of one Sym^m(C*)
         per entry.
         """
-        return tuple(mult for parts in self.cycle_type.parts_per_block
-                     for _, mult in part_multiplicities(parts))
+        return tuple(self._run_lengths())
+
+    def _run_lengths(self) -> list[int]:
+        # a fresh list: the blocks' memoised run lengths, concatenated
+        out = []
+        for parts in self.cycle_type.parts_per_block:
+            out += run_lengths(parts)
+        return out
 
     def to_json(self) -> dict:
-        parts_per_block = self.cycle_type.parts_per_block
         return {
-            "cycle_type": [list(p) for p in parts_per_block],
+            "cycle_type": list(map(list, self.cycle_type.parts_per_block)),
             "torus_rank": self.torus_rank,
-            "sym_factors": [mult for parts in parts_per_block  # `residual_blocks`
-                            for _, mult in part_multiplicities(parts)],
+            "sym_factors": self._run_lengths(),
         }
 
     @classmethod
@@ -209,12 +218,17 @@ def _orbits_for(component: Component, mps) -> list[OrbitDescriptor]:
         classes = [InertialClass(rho, Fraction(part - 1, 2))
                    for part in range(1, block.exponent + 1)]
         tables.append((i, {
-            parts: tuple((classes[part - 1], mult)
-                         for part, mult in reversed(part_multiplicities(parts)))
+            parts: tuple([(classes[part - 1], mult)
+                          for part, mult in reversed(part_multiplicities(parts))])
             for parts in partitions(block.exponent)
         }))
-    orbit = OrbitDescriptor._trusted
-    return [orbit(sum([table[mp[i]] for i, table in tables], ())) for mp in mps]
+    orbit, orbits = OrbitDescriptor._trusted, []
+    for mp in mps:
+        classes = ()  # so a one-block orbit holds its table entry itself
+        for i, table in tables:
+            classes += table[mp[i]]
+        orbits.append(orbit(classes))
+    return orbits
 
 
 def enumerate_orbits(component: Component) -> list[OrbitDescriptor]:

@@ -28,6 +28,7 @@ from ._value import Value, set_field
 # annotations name Component, Stratum and OrbitDescriptor unimported: `hp` loads no parameters
 from .bernstein import _check_degree
 from .partitions import multipartitions, overpartition_count, part_multiplicities
+from .scalars import _integer
 
 __all__ = [
     "PermutationAction",
@@ -52,7 +53,8 @@ class PermutationAction(Value):
     _fields = ("blocks",)
 
     def __init__(self, blocks: tuple[int, ...]):
-        if any(m < 1 for m in blocks):
+        blocks = tuple(blocks)
+        if any(_integer(m, "a block size") < 1 for m in blocks):
             raise ValueError("block sizes must be positive")
         if not blocks:
             raise ValueError("rank must be >= 1")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._value import Value, _json_field, _json_objects, set_field
-from .scalars import ONE, QScalar, _fraction, exact_int, exact_rational
+from .scalars import ONE, QScalar, _fraction, _integer, exact_int, exact_rational
 
 __all__ = [
     "WeilLabel",
@@ -46,8 +46,10 @@ class WeilLabel(Value):
             raise ValueError("label id must be a string, got %r" % (id,))
         if not id:
             raise ValueError("label id must be nonempty")
-        if dim < 1:
+        if _integer(dim, "label dimension") < 1:
             raise ValueError("label dimension must be >= 1")
+        if not isinstance(unitary_det, bool):
+            raise TypeError("label unitary_det must be a bool, got %r" % (unitary_det,))
         set_field(self, "id", id)
         set_field(self, "dim", dim)
         set_field(self, "unitary_det", unitary_det)
@@ -71,7 +73,7 @@ class InertialClass(Value):
 
     def __init__(self, rho: WeilLabel, spin_j: Fraction = Fraction(0)):
         j = _fraction(spin_j)
-        if j < 0 or j.denominator > 2:
+        if j.numerator < 0 or j.denominator > 2:  # a sign read off an int, not a Fraction
             raise ValueError("spin_j must be a nonnegative half-integer, got %s" % j)
         set_field(self, "rho", rho)
         set_field(self, "spin_j", j)
@@ -167,7 +169,7 @@ class OrbitDescriptor(Value):
         if not classes:
             raise ValueError("an orbit needs at least one class")
         for _, mult in classes:
-            if mult < 1:
+            if _integer(mult, "a multiplicity") < 1:
                 raise ValueError("multiplicities must be positive")
         if len({cls for cls, _ in classes}) != len(classes):
             raise ValueError("orbit classes must be pairwise distinct")
@@ -186,9 +188,9 @@ class OrbitDescriptor(Value):
     def to_json(self) -> dict:
         classes, total = [], 0
         for cls, mult in self.classes:
-            entry = cls.to_json()
-            entry["multiplicity"] = mult
-            classes.append(entry)
+            rho = cls.rho  # the entry is `InertialClass.to_json` with the multiplicity
+            classes.append({"rho": {"id": rho.id, "dim": rho.dim, "unitary_det": rho.unitary_det},
+                            "j": cls._j, "multiplicity": mult})
             total += mult
         return {"classes": classes, "l": total - len(classes), "k": len(classes)}
 

@@ -31,9 +31,16 @@ _EXPONENT = re.compile(r"[eE]\s*([-+]?[0-9](?:_?[0-9])*)\s*$")
 def _fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, float):
-        raise TypeError("exact rational required, got float %r" % x)
+    if isinstance(x, (float, bool)):
+        raise TypeError("exact rational required, got %s %r" % (type(x).__name__, x))
     return Fraction(x)
+
+
+def _integer(x, what: str) -> int:
+    """`x` if it is an int and not a bool; a float, bool or string is refused."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError("%s must be an integer, got %r" % (what, x))
+    return x
 
 
 def _refuse_digit_variants(text: str, what: str) -> None:

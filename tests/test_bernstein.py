@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +20,8 @@ from gldual.bernstein import (
 from gldual.cohomology import _centralizer_order
 from gldual.errors import LimitExceeded
 from gldual.parameters import OrbitDescriptor, orbit_shape
-from gldual.partitions import OUTPUT_LIMIT, multipartitions, part_multiplicities, partitions
+from gldual.partitions import (OUTPUT_LIMIT, multipartitions, part_multiplicities, partitions,
+                               run_lengths)
 from gldual.verify import _compositions
 
 
@@ -101,6 +105,11 @@ def test_centralizer_orders_sum_to_group_order():
 
 def test_part_multiplicities():
     assert part_multiplicities((3, 2, 2, 1, 1, 1)) == ((3, 1), (2, 2), (1, 3))
+    assert run_lengths((3, 2, 2, 1, 1, 1)) == (1, 2, 3)
+    for n in range(8):
+        for p in partitions(n):
+            assert run_lengths(p) == tuple(m for _, m in part_multiplicities(p))
+            assert run_lengths(p) is run_lengths(p)
 
 
 def test_strata_for_exponents_2():
@@ -335,3 +344,62 @@ def test_orbit_json_still_validated():
                           r"classes\[0\]\.rho is missing")]:
         with pytest.raises(ValueError, match=message):
             OrbitDescriptor.from_json(bad)
+
+
+def _walk_corpus():
+    """Seeded components of 1-4 blocks, labels out of sorted order and q-steps
+    other than 1, with the shapes (20,), (5, 5, 5) and (4, 4, 4, 4)."""
+    rng = random.Random(29)
+    shapes = [(20,), (5, 5, 5), (4, 4, 4, 4)]
+    shapes += [tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 4))) for _ in range(40)]
+    for shape in shapes:
+        labels = rng.sample(UNSORTED_LABELS, len(shape))
+        yield Component(tuple(Block(label, e, rng.choice(Q_SCALES[1:]))
+                              for label, e in zip(labels, shape)))
+
+
+# the SHA-256 of the corpus's walks, recorded before the walks were last changed
+WALK_CORPUS_SHA256 = "56d41cad6b3f6c8b07fda3b5573ee40ef7957867c029079a6c8cb9b74922385e"
+
+
+def test_the_walks_print_what_they_printed_when_the_corpus_was_recorded():
+    digest = hashlib.sha256()
+    for c in _walk_corpus():
+        strata = enumerate_strata(c)
+        digest.update(json.dumps([
+            c.to_json(),
+            [s.to_json() for s in strata],
+            [o.to_json() for o in enumerate_orbits(c)],
+            [[o.to_json(), s.to_json()] for o, s in orbit_stratum_bijection(c)],
+            [s.residual_blocks() for s in strata],
+        ]).encode())
+    assert digest.hexdigest() == WALK_CORPUS_SHA256
+
+
+def _mutate(value):
+    """Change every list and dict inside `value`, and `value` itself."""
+    if isinstance(value, dict):
+        for member in value.values():
+            _mutate(member)
+        value["mutated"] = True
+    elif isinstance(value, list):
+        for entry in value:
+            _mutate(entry)
+        value.append("mutated")
+
+
+def test_to_json_is_fresh_and_leaves_the_memos_intact():
+    # one block, whose orbit holds its table entry itself, and three blocks
+    for exponents in [(6,), (4, 3, 3)]:
+        c = _unsorted_component(exponents)
+        memos = {p: (run_lengths(p), part_multiplicities(p))
+                 for e in exponents for p in partitions(e)}
+        strata, orbits = enumerate_strata(c), enumerate_orbits(c)
+        for value in (strata[-2], orbits[-2], strata[1], orbits[1]):
+            first = value.to_json()
+            expected = copy.deepcopy(first)
+            _mutate(first)
+            assert value.to_json() == expected
+        assert {p: (run_lengths(p), part_multiplicities(p)) for p in memos} == memos
+        assert [s.to_json() for s in enumerate_strata(c)] == [s.to_json() for s in strata]
+        assert [o.to_json() for o in enumerate_orbits(c)] == [o.to_json() for o in orbits]

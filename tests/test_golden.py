@@ -70,6 +70,7 @@ def _cases():
         for component in components:
             yield [verb, "--component", component]
         yield [verb, "--component", "(21)", "--max-degree", "21"]
+    yield ["strata", "--component", "(39)", "--max-degree", "39"]  # the largest strata walk
     for carrier in (PARAMETER, POINT):
         yield ["temper", "--input", carrier]
         for t in ("0", "1/3", "1"):

@@ -1,7 +1,10 @@
 """The value classes behave as the frozen dataclasses they replace: the same repr,
 equality and hash by fields, no comparison with other types, order for
 `QScalar` alone, and no assignment to a field.  Each class built unchecked
-builds through `Cls._trusted(*fields)` what its checked constructor builds."""
+builds through `Cls._trusted(*fields)` what its checked constructor builds.
+The checked constructors take an int alone for an integer field, a bool alone
+for `unitary_det` and no bool or float for a rational, so every value's JSON
+reads back as that value."""
 
 import dataclasses
 import itertools
@@ -17,7 +20,8 @@ from gldual.cohomology import PermutationAction
 from gldual.parameters import (TRIVIAL, InertialClass, LParameter, OrbitDescriptor, WeilLabel,
                                _class_key, _summand_key)
 from gldual.qproj import StratumPoint, SymPoint
-from gldual.scalars import ONE, QScalar, q_power, unit
+from gldual.partitions import partitions
+from gldual.scalars import ONE, QScalar, _fraction, q_power, unit
 from gldual.symfun import SymCoords
 from gldual.verify import CheckResult
 
@@ -205,3 +209,112 @@ def test_an_inertial_class_keeps_the_json_text_of_its_spin():
         assert read.to_json()["j"] == "1/2"
     assert made.to_json() == {"rho": {"id": "a", "dim": 2, "unitary_det": False}, "j": "1/2"}
     assert repr(made) == "InertialClass(rho=%r, spin_j=Fraction(1, 2))" % (rho,)
+
+
+# each checked field that takes an int alone, and each that takes a rational
+INTEGER_FIELDS = {
+    "Block.exponent": lambda x: Block("a", x),
+    "CycleType part": lambda x: CycleType(((x,),)),
+    "WeilLabel.dim": lambda x: WeilLabel("a", x),
+    "OrbitDescriptor multiplicity": lambda x: OrbitDescriptor(((InertialClass(TRIVIAL), x),)),
+    "PermutationAction block": lambda x: PermutationAction((x,)),
+}
+RATIONAL_FIELDS = {
+    "Block.q_scale": lambda x: Block("a", 1, x),
+    "InertialClass.spin_j": lambda x: InertialClass(TRIVIAL, x),
+    "QScalar.q_exp": lambda x: QScalar(x, F(0)),
+    "QScalar.turn": lambda x: QScalar(F(0), x),
+    "_fraction": _fraction,
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_an_integer_field_takes_an_int_alone(field, bad):
+    INTEGER_FIELDS[field](2)
+    with pytest.raises(TypeError, match="must be an integer, got %r" % (bad,)):
+        INTEGER_FIELDS[field](bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, 1, "2", "yes", None], ids=repr)
+def test_unitary_det_takes_a_bool_alone(bad):
+    assert WeilLabel("a", 1, False).unitary_det is False
+    with pytest.raises(TypeError, match="unitary_det must be a bool"):
+        WeilLabel("a", 1, bad)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, False], ids=repr)
+@pytest.mark.parametrize("field", RATIONAL_FIELDS)
+def test_a_rational_field_takes_no_bool_and_no_float(field, bad):
+    RATIONAL_FIELDS[field](F(1, 2))
+    with pytest.raises(TypeError, match="exact rational required, got %s %r"
+                       % (type(bad).__name__, bad)):
+        RATIONAL_FIELDS[field](bad)
+
+
+def test_a_value_given_lists_stores_tuples():
+    assert hash(Component([Block("a", 2)])) == hash(Component((Block("a", 2),)))
+    assert PermutationAction([2, 1]).blocks == (2, 1)
+    read = CycleType(([2, 1], (1,)))
+    assert read == CycleType(((2, 1), (1,))) and hash(read) == hash(CycleType(((2, 1), (1,))))
+    assert read.parts_per_block == ((2, 1), (1,))
+    stratum = Stratum(Component.from_exponents((3, 1)), read)
+    assert stratum.residual_blocks() == (1, 1, 1)
+    assert StratumPoint(stratum, (ONE, ONE, ONE)).to_json()["cycle_type"] == [[2, 1], [1]]
+
+
+_ids = st.sampled_from(["b", "a", "B", "a1", "sc10"])
+_steps = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4).filter(bool)
+_components = st.lists(st.tuples(st.integers(1, 4), _steps), min_size=1, max_size=3).flatmap(
+    lambda blocks: st.lists(_ids, min_size=len(blocks), max_size=len(blocks), unique=True).map(
+        lambda ids: Component(tuple(Block(i, e, step) for i, (e, step) in zip(ids, blocks)))))
+_scalars = st.builds(QScalar, _rationals, _turns)
+_orbits = st.lists(st.tuples(_classes, st.integers(1, 4)), min_size=1, max_size=4,
+                   unique_by=lambda e: e[0]).map(OrbitDescriptor)
+
+
+@st.composite
+def _strata(draw):
+    c = draw(_components)
+    return Stratum(c, CycleType(tuple(draw(st.sampled_from(partitions(e))) for e in c.exponents)))
+
+
+@st.composite
+def _stratum_points(draw):
+    stratum = draw(_strata())
+    return StratumPoint(stratum, draw(st.lists(_scalars, min_size=stratum.torus_rank,
+                                               max_size=stratum.torus_rank)))
+
+
+# each class with a JSON form, its values, and its reader
+ROUND_TRIPS = {
+    "QScalar": (_scalars, QScalar.from_json),
+    "InertialClass": (_classes, InertialClass.from_json),
+    "LParameter": (st.lists(st.tuples(_classes, _scalars), min_size=1, max_size=4).map(
+        lambda summands: LParameter(tuple(summands))), LParameter.from_json),
+    "OrbitDescriptor": (_orbits, OrbitDescriptor.from_json),
+    "Component": (_components, Component.from_json),
+    "Stratum": (_strata(), None),
+    "SymPoint": (st.lists(st.lists(_scalars, max_size=3).map(tuple), min_size=1, max_size=3).map(
+        lambda blocks: SymPoint(tuple(blocks))), SymPoint.from_json),
+    "StratumPoint": (_stratum_points(), StratumPoint.from_json),
+}
+
+
+@pytest.mark.parametrize("kind", ROUND_TRIPS)
+@given(data=st.data())
+def test_every_value_reads_back_from_its_json(kind, data):
+    values, read = ROUND_TRIPS[kind]
+    x = data.draw(values)
+    text = json.loads(json.dumps(x.to_json()))
+    back = Stratum.from_json(text, x.component) if read is None else read(text)
+    assert back == x and hash(back) == hash(x)
+    assert json.dumps(back.to_json()) == json.dumps(x.to_json())
+
+
+@given(_orbits)
+def test_an_orbit_entry_is_the_class_json_with_its_multiplicity(orbit):
+    # `OrbitDescriptor.to_json` writes each entry itself; it must stay the class's own JSON
+    entries = orbit.to_json()["classes"]
+    assert [json.dumps(entry) for entry in entries] == [
+        json.dumps({**cls.to_json(), "multiplicity": m}) for cls, m in orbit.classes]
