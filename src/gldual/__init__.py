@@ -6,8 +6,10 @@ closed form, half the product of the exponents' overpartition counts (the
 walks over strata and orbits that sum the per-stratum cohomology (1+t)^k, and
 exact Molien averaging, are only the cross-checks of `verify` and the tests),
 the q-projection with complete fiber enumeration, and the tempering retraction.
-Rationals are exact throughout: a float where a rational belongs raises
-TypeError rather than being snapped.
+Rationals are exact throughout.  The constructors and functions take values,
+not text: a string, float or bool where a rational belongs raises TypeError
+rather than being read or snapped, and text is read only by `exact_int` and
+`exact_rational`, the one reader of each kind of number.
 
 The package exports the `__all__` names of the modules in `_EXPORTING`, but
 `import gldual` loads none of them: the first lookup of an exported name (or

@@ -11,8 +11,16 @@ compare and hash the tuple of those fields; they are closures over one
 no code.  JSON input has one read path: `from_json`, given its object's path,
 and the command line read each member with `_json_field` and each list of
 objects with `_json_objects`, which refuse it by its full JSON path.
+
+Numbers in text are read here too, by one body, `_number`: `exact_int`, and
+`gldual.scalars.exact_rational`, which the JSON readers, the shorthand and the
+command-line options all call.  The library's constructors take values, never
+text.  This module loads no `fractions`, so neither does a verb that reads only
+integers and floats.
 """
 
+import re
+import sys
 from operator import attrgetter, ge, gt, le, lt
 
 # Stores one field past Value.__setattr__.  Unlike a write to `obj.__dict__`,
@@ -35,11 +43,11 @@ def _json_of_type(value, where: str, expected: type):
     return value
 
 
-def _json_field(data: dict, key: str, read=None, path: str = "", default=None):
+def _json_field(data: dict, key: str, read, path: str = "", default=None):
     """The member `key` of the JSON object `data` at `path`: `default` when missing,
     refused as `<path> is missing` if that is None; checked to be of the JSON type
-    `read` (dict, list or bool), or parsed by `read(member, its path)`, such as
-    `exact_int` or `_json_objects`, or returned as it is if `read` is None."""
+    `read` (dict, list, str or bool), or parsed by `read(member, its path)`, such
+    as `exact_int` or `_json_objects`."""
     where = "%s.%s" % (path, key) if path else key
     if key not in data:
         if default is None:
@@ -47,7 +55,7 @@ def _json_field(data: dict, key: str, read=None, path: str = "", default=None):
         return default
     if isinstance(read, type):
         return _json_of_type(data[key], where, read)
-    return data[key] if read is None else read(data[key], where)
+    return read(data[key], where)
 
 
 def _json_objects(value, where: str):
@@ -55,6 +63,39 @@ def _json_objects(value, where: str):
     for i, entry in enumerate(_json_of_type(value, where, list)):
         at = "%s[%d]" % (where, i)
         yield _json_of_type(entry, at, dict), at
+
+
+def _refuse_digit_variants(text: str, what: str) -> None:
+    # int(), float() and Fraction() also read underscores between digits and
+    # the digits of other scripts: '1_0' and '\u0661\u0660' are both 10.
+    if not text.isascii() or "_" in text:
+        raise ValueError("%s must be written in ASCII digits without underscores, got %r"
+                         % (what, text))
+
+
+def _number(value, what: str, parse, kind: str):
+    """`parse(value)` of an int, or of a string in ASCII digits without
+    underscores; anything else, and text that `parse` refuses, is refused by the
+    name `what` as not `kind`."""
+    if type(value) is str:
+        _refuse_digit_variants(value, what)
+    try:
+        if type(value) in (int, str):
+            return parse(value)
+    except (ValueError, ZeroDivisionError):
+        # int() and Fraction() refuse a run of more digits than the interpreter's
+        # limit (4300 by default, none before Python 3.10.7); refused here in a
+        # message that echoes none of them
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and re.search("[0-9]{%d}" % (limit + 1), value):
+            raise ValueError("%s has more than %d digits" % (what, limit)) from None
+    raise ValueError("%s must be %s, got %r" % (what, kind, value))
+
+
+def exact_int(value, what: str) -> int:
+    """A parsed integer: an int or a string of ASCII digits with an optional
+    sign, never a bool or a float; anything else is refused by the name `what`."""
+    return _number(value, what, int, "an integer")
 
 
 def _frozen(self, name, value=None):

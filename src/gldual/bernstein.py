@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _json_field, _json_objects, _json_of_type, set_field
+from ._value import Value, _json_field, _json_objects, _json_of_type, exact_int, set_field
 from .errors import LimitExceeded
 from .partitions import multipartitions, part_multiplicities, partitions, run_lengths
-from .scalars import _fraction, _integer, exact_int, exact_rational
+from .scalars import _fraction, _integer, exact_rational
 
 __all__ = [
     "Block",
@@ -50,7 +50,7 @@ class Block(Value):
 
     def __init__(self, label: str, exponent: int, q_scale: Fraction = Fraction(1)):
         if not isinstance(label, str):
-            raise ValueError("block label must be a string, got %r" % (label,))
+            raise TypeError("block label must be a string, got %r" % (label,))
         if not label:
             raise ValueError("block label must be nonempty")
         if _integer(exponent, "block exponent") < 1:
@@ -98,7 +98,7 @@ class Component(Value):
     @classmethod
     def from_json(cls, data: dict, path: str = "") -> Component:
         return cls(tuple(
-            Block(_json_field(b, "label", None, at), _json_field(b, "exponent", exact_int, at),
+            Block(_json_field(b, "label", str, at), _json_field(b, "exponent", exact_int, at),
                   _json_field(b, "q_scale", exact_rational, at, 1))
             for b, at in _json_field(data, "blocks", _json_objects, path)))
 

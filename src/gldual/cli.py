@@ -6,14 +6,29 @@ than `partitions.OUTPUT_LIMIT` items), 4 an internal error.  Code 4 is the
 last resort: any other exception is reported as
 `{"error": {"type": "internal", ...}}`, never as a traceback, and never as
 code 1, which only `verify` returns.  No known input reaches it; one that
-does has found a fault of the program.  Components and points are passed
-inline as JSON (or `@file`), with a compact shorthand for the common cases: a
-component `(2,1)` means unit blocks with those exponents, and a scalar
-multiset `{q^-1,1,q}` lists q-powers and unit factors `e(1/3)` joined by `*`,
-in exactly one enclosing pair of braces; `;` separates the blocks of a point
-inside it, and `q^{r}` takes one pair of its own.
-Every JSON member is read by `gldual._value._json_field` and refused by its full
-path, missing, of the wrong type or unparsed: `summands[0].j is missing`.
+does has found a fault of the program.
+
+Components and points are passed inline as JSON (or `@file`), or in this
+shorthand, the one grammar of the command line:
+
+    component, cycle   (n,...)           one or more integers, unit blocks of
+                                         those exponents for a component
+    point              {s,...;s,...}     one or more blocks, separated by ';'
+                                         inside the one pair of braces, each
+                                         of one or more scalars
+    coordinates        {s,...}           one or more scalars
+    scalar s           f*f*...           each factor f is 1, q, q^r, q^{r} or e(r)
+    rational r         3, -1/2, 0.25, .5, 1e-3   as `exact_rational` reads it
+
+The text is ASCII.  Whitespace may stand around any bracket, entry, factor
+and number, but not inside `q^`, `e(` or a number.  A `--point` whose brace
+is followed by `"` or closes at once (`{"blocks": ...}`, `{}`) is JSON.
+Every JSON member is read by `gldual._value._json_field` and refused by its
+full path, missing, of the wrong type or unparsed: `summands[0].j is missing`.
+Every number in text is read by one reader of its kind, whether it comes from
+JSON, the shorthand or an option: integers (`--max-degree`, `--n`,
+`--fiber-samples`, `--sym-samples`) by `exact_int`, rationals (`--t`) by
+`exact_rational`, and `--q`, in the same ASCII digits, by `float`.
 
 Each verb imports the modules it runs inside its handler and parse helpers,
 so a process pays for its own verb only: `symcoords`, for one, loads neither
@@ -31,7 +46,7 @@ import argparse
 import json
 import sys
 
-from ._value import _json_field, _json_objects, _json_of_type
+from ._value import _json_field, _json_objects, _json_of_type, _refuse_digit_variants, exact_int
 from .errors import LimitExceeded, RootFindingError
 
 STRATA_LIMIT = 20  # the default of --max-degree on strata, orbits and hp
@@ -72,12 +87,18 @@ def _entries(inner: str, flag: str) -> list[str]:
     return entries
 
 
+def _ascii_stripped(text: str, flag: str) -> str:
+    """A shorthand text without the whitespace around it, refused unless ASCII,
+    so that no other whitespace is stripped either."""
+    if not text.isascii():
+        raise ValueError("%s shorthand must be ASCII text" % flag)
+    return text.strip()
+
+
 def _int_tuple(text: str, flag: str, what: str) -> tuple[int, ...]:
     """The shorthand '(a,b,...)' of integers, as for components and cycle types:
     exactly one enclosing pair of parentheses."""
-    from .scalars import exact_int
-
-    text = text.strip()
+    text = _ascii_stripped(text, flag)
     if not (text.startswith("(") and text.endswith(")")) or text.count("(") + text.count(")") != 2:
         raise ValueError("%s shorthand must be integers in one pair of parentheses, like '(2,1)'"
                          % flag)
@@ -111,15 +132,15 @@ def parse_scalar(text: str):
 def _parse_component(text: str):
     from .bernstein import Component
 
-    text = _load_text(text).strip()
-    if text.startswith("("):
+    text = _load_text(text)
+    if text.lstrip().startswith("("):
         return Component.from_exponents(_int_tuple(text, "--component", "exponent"))
-    return Component.from_json(_decode_json(text, "--component", dict))
+    return Component.from_json(_decode_json(text.strip(), "--component", dict))
 
 
 def _braced(text: str, flag: str) -> str:
     """The text inside the one pair of braces that encloses a scalar shorthand."""
-    text = text.strip()
+    text = _ascii_stripped(text, flag)
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError("%s shorthand must be scalars in one pair of braces, like '{q,1}'"
                          % flag)
@@ -138,13 +159,14 @@ def _parse_scalar_list(inner: str, flag: str) -> tuple:
 def _parse_sym_point(text: str):
     from .qproj import SymPoint
 
-    text = _load_text(text).strip()
+    text = _load_text(text)
+    body = text.strip()
     # '{"blocks": ...}' and '{}' are JSON; any other '{...' is the scalar shorthand,
     # its blocks separated by ';' inside one pair of braces
-    if text.startswith("{") and not text[1:].lstrip().startswith(('"', "}")):
+    if body.startswith("{") and not body[1:].lstrip().startswith(('"', "}")):
         return SymPoint(tuple(_parse_scalar_list(block, "--point")
                               for block in _braced(text, "--point").split(";")))
-    return SymPoint.from_json(_decode_json(text, "--point", dict))
+    return SymPoint.from_json(_decode_json(body, "--point", dict))
 
 
 def _json_float(value, name: str) -> float:
@@ -162,6 +184,18 @@ def _parse_complex_list(text: str, flag: str) -> list[complex]:
     return [complex(_json_field(d, "re", _json_float, at),
                     _json_field(d, "im", _json_float, at, 0.0))
             for d, at in _json_objects(_decode_json(_load_text(text), flag, list), flag)]
+
+
+def _int_option(text: str) -> int:
+    """An integer option, read as every integer in text is."""
+    return exact_int(text, "option")
+
+
+def _float_option(text: str) -> float:
+    """`--q`, in ASCII digits as every number in text; `QScalar.to_complex`
+    refuses a q that is not finite and above 1."""
+    _refuse_digit_variants(text, "--q")
+    return float(text)
 
 
 def _complex_json(z: complex) -> dict:
@@ -303,7 +337,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 _DEGREE = "refuse a component of higher degree (default: %s)"
-_STRATA_DEGREE = ("--max-degree", {"type": int, "default": STRATA_LIMIT,
+_STRATA_DEGREE = ("--max-degree", {"type": _int_option, "default": STRATA_LIMIT,
                                    "help": _DEGREE % "STRATA_LIMIT"})
 _COMPONENT = ("--component", {
     "required": True, "help": "component JSON, @file, or exponent shorthand like '(2,1)'"})
@@ -321,7 +355,7 @@ _VERBS = {
         ("--component", {"help": "shorthand alternative to --point"}),
         ("--cycle", {"help": "cycle type shorthand, e.g. '(2,1)'"}),
         ("--coords", {"help": "coordinates shorthand, e.g. '{q,1}'"}),
-        ("--q", {"type": float, "help": "also evaluate the image at this numeric q"})]),
+        ("--q", {"type": _float_option, "help": "also evaluate the image at this numeric q"})]),
     "fiber": ("enumerate a q-projection fiber", _cmd_fiber, [
         _COMPONENT,
         ("--point", {"required": True,
@@ -332,10 +366,10 @@ _VERBS = {
     "symcoords": ("elementary symmetric coordinates, both directions", _cmd_symcoords, [
         ("--points", {"help": "JSON list of {re, im} points"}),
         ("--sigma", {"help": "JSON list of {re, im} coordinates"}),
-        ("--n", {"type": int, "help": "expected size, validated when given"})]),
+        ("--n", {"type": _int_option, "help": "expected size, validated when given"})]),
     "verify": ("run the regression suite", _cmd_verify, [
-        ("--fiber-samples", {"type": int, "default": 500}),
-        ("--sym-samples", {"type": int, "default": 200})]),
+        ("--fiber-samples", {"type": _int_option, "default": 500}),
+        ("--sym-samples", {"type": _int_option, "default": 200})]),
 }
 
 

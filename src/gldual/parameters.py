@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value, _json_field, _json_objects, set_field
-from .scalars import ONE, QScalar, _fraction, _integer, exact_int, exact_rational
+from ._value import Value, _json_field, _json_objects, exact_int, set_field
+from .scalars import ONE, QScalar, _fraction, _integer, exact_rational
 
 __all__ = [
     "WeilLabel",
@@ -43,7 +43,7 @@ class WeilLabel(Value):
 
     def __init__(self, id: str, dim: int = 1, unitary_det: bool = True):
         if not isinstance(id, str):
-            raise ValueError("label id must be a string, got %r" % (id,))
+            raise TypeError("label id must be a string, got %r" % (id,))
         if not id:
             raise ValueError("label id must be nonempty")
         if _integer(dim, "label dimension") < 1:
@@ -95,7 +95,7 @@ class InertialClass(Value):
     @classmethod
     def from_json(cls, data: dict, path: str = "") -> InertialClass:
         rho, at = _json_field(data, "rho", dict, path), ("%s.rho" % path if path else "rho")
-        return cls(WeilLabel(_json_field(rho, "id", None, at),
+        return cls(WeilLabel(_json_field(rho, "id", str, at),
                              _json_field(rho, "dim", exact_int, at, 1),
                              _json_field(rho, "unitary_det", bool, at, True)),
                    _json_field(data, "j", exact_rational, path))
@@ -256,6 +256,6 @@ def is_discrete_series(phi: LParameter) -> bool:
 
 def steinberg_parameter(n: int) -> LParameter:
     """The GL(n) Steinberg parameter: trivial label tensor spin((n-1)/2)."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError("n must be >= 1")
     return LParameter(((InertialClass(TRIVIAL, Fraction(n - 1, 2)), ONE),))

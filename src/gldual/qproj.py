@@ -34,7 +34,7 @@ from ._value import Value, _json_field, _json_objects, set_field
 from .bernstein import Component, CycleType, Stratum, _check_degree
 from .errors import LimitExceeded
 from .partitions import OUTPUT_LIMIT
-from .scalars import QScalar
+from .scalars import QScalar, _integer
 
 __all__ = [
     "SymPoint",
@@ -104,7 +104,7 @@ class StratumPoint(Value):
 
 def q_string(alpha: int, z: QScalar, scale: Fraction = Fraction(1)) -> tuple[QScalar, ...]:
     """The length-alpha geometric progression of ratio q^scale centered at z, sorted."""
-    if alpha < 1:
+    if _integer(alpha, "alpha") < 1:
         raise ValueError("alpha must be >= 1")
     return tuple(
         sorted(z.q_shift(scale * (Fraction(alpha - 1, 2) - i)) for i in range(alpha))

@@ -4,6 +4,8 @@ Every coordinate that appears in the orbit, quotient and q-projection formulas
 is a point q^a * e^(2*pi*i*u) with a, u rational and q a fixed indeterminate
 q > 1.  Keeping (a, u) as exact fractions makes equality, sorting and fiber
 membership decidable; a numeric q enters only in :meth:`QScalar.to_complex`.
+The constructors take values, a Fraction or an int, and refuse text, floats and
+bools with TypeError; text is read by `exact_rational` alone.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ from __future__ import annotations
 import cmath
 import math
 import re
-import sys
 from fractions import Fraction
 
-from ._value import Value, _json_field, set_field
+from ._value import Value, _json_field, _number, exact_int, set_field
 
 __all__ = ["QScalar", "ONE", "q_power", "unit", "exact_int", "exact_rational",
            "MAX_DECIMAL_EXPONENT"]
@@ -31,9 +32,9 @@ _EXPONENT = re.compile(r"[eE]\s*([-+]?[0-9](?:_?[0-9])*)\s*$")
 def _fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (float, bool)):
-        raise TypeError("exact rational required, got %s %r" % (type(x).__name__, x))
-    return Fraction(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError("exact rational required, got %s %r" % (type(x).__name__, x))
 
 
 def _integer(x, what: str) -> int:
@@ -41,36 +42,6 @@ def _integer(x, what: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError("%s must be an integer, got %r" % (what, x))
     return x
-
-
-def _refuse_digit_variants(text: str, what: str) -> None:
-    # int() and Fraction() also read underscores between digits and the
-    # digits of other scripts: '1_0' and '\u0661\u0660' are both 10.
-    if not text.isascii() or "_" in text:
-        raise ValueError("%s must be written in ASCII digits without underscores, got %r"
-                         % (what, text))
-
-
-def _refuse_long_digits(text: str, what: str) -> None:
-    # int() and Fraction() refuse a run of more digits than the interpreter's
-    # limit (4300 by default, none before Python 3.10.7); refused here in a
-    # message that echoes none of them
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and re.search("[0-9]{%d}" % (limit + 1), text):
-        raise ValueError("%s has more than %d digits" % (what, limit))
-
-
-def exact_int(value, what: str) -> int:
-    """A parsed integer: an int or a string of ASCII digits with an optional
-    sign, never a bool or a float; anything else is refused by the name `what`."""
-    if type(value) is str:
-        _refuse_digit_variants(value, what)
-    try:
-        if type(value) in (int, str):
-            return int(value)
-    except ValueError:
-        _refuse_long_digits(value, what)
-    raise ValueError("%s must be an integer, got %r" % (what, value))
 
 
 def exact_rational(value, what: str) -> Fraction:
@@ -85,13 +56,7 @@ def exact_rational(value, what: str) -> Fraction:
         if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
             raise ValueError("%s has a decimal exponent beyond %d: %r"
                              % (what, MAX_DECIMAL_EXPONENT, value))
-        _refuse_digit_variants(value, what)
-    try:
-        if type(value) in (int, str):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        _refuse_long_digits(value, what)
-    raise ValueError("%s must be an integer or a rational string, got %r" % (what, value))
+    return _number(value, what, Fraction, "an integer or a rational string")
 
 
 class QScalar(Value, order=True):
@@ -171,9 +136,9 @@ ONE = QScalar(Fraction(0), Fraction(0))
 
 def q_power(a) -> QScalar:
     """The positive real point q^a."""
-    return QScalar(_fraction(a), Fraction(0))
+    return QScalar(a, 0)
 
 
 def unit(turn) -> QScalar:
     """The unit-circle point e^(2*pi*i*turn)."""
-    return QScalar(Fraction(0), _fraction(turn))
+    return QScalar(0, turn)

@@ -30,7 +30,7 @@ from .errors import LimitExceeded
 from .parameters import LParameter, orbit_of
 from .partitions import multipartitions
 from .qproj import StratumPoint, SymPoint, fiber, project
-from .scalars import ONE, QScalar, q_power, unit
+from .scalars import ONE, QScalar, _integer, q_power, unit
 from .symfun import from_sym_coords, match_multisets, to_sym_coords
 
 __all__ = ["CheckResult", "fiber_reference", "hp_by_walks", "run_all", "SAMPLE_LIMIT"]
@@ -391,10 +391,10 @@ def check_symfun_roundtrip(samples_per_degree: int = 200, seed: int = 20250810) 
 def run_all(seed: int = 20250810, fiber_samples: int = 500,
             sym_samples: int = 200) -> list[CheckResult]:
     """Run every acceptance check; the CLI `verify` verb wraps exactly this.
-    Both sample counts must be at least 1 (or ValueError) and at most
-    SAMPLE_LIMIT (or LimitExceeded), or nothing runs."""
+    Both sample counts must be ints (or TypeError), at least 1 (or ValueError)
+    and at most SAMPLE_LIMIT (or LimitExceeded), or nothing runs."""
     for name, count in (("fiber_samples", fiber_samples), ("sym_samples", sym_samples)):
-        if count < 1:
+        if _integer(count, name) < 1:
             raise ValueError("%s must be at least 1, got %d" % (name, count))
         if count > SAMPLE_LIMIT:
             raise LimitExceeded("%s %d exceeds the sample limit %d" % (name, count, SAMPLE_LIMIT))

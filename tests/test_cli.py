@@ -329,6 +329,14 @@ _NON_STRING_NAMES = {
     "label-bool": ["hp", "--component", '{"blocks": [{"label": true, "exponent": 1}]}'],
     "label-list": ["hp", "--component", '{"blocks": [{"label": ["a"], "exponent": 1}]}'],
 }
+# each name's path and what it got
+_NAME_REFUSALS = {
+    "id-int": ("summands[0].rho.id", "a number"),
+    "id-int-and-string": ("summands[0].rho.id", "a number"),
+    "label-int-homotopy": ("component.blocks[0].label", "a number"),
+    "label-bool": ("blocks[0].label", "a boolean"),
+    "label-list": ("blocks[0].label", "a list"),
+}
 _TWO_BLOCKS = '{"blocks": [{"label": "a", "exponent": 1}, {"label": "b", "exponent": 1}]}'
 _MISMATCHED_ARGS = {
     "project-component-only": ["project", "--component", "(3)"],
@@ -435,6 +443,20 @@ _TOO_MANY_DIGITS = {
                                 "--input", _phi({"id": "a"}, "0")],
                                "t has more than {limit} digits"),
 }
+_Q_ONE = ["project", "--component", "(1)", "--cycle", "(1)", "--coords", "{q}"]
+# numeric options in text that every other reader of numbers refuses: all but
+# the last were read by argparse's int() and float() as 10, 3, 1, 10 and 1,
+# 9.0 and 10.0, and answered with exit 0
+_OPTION_TEXT = {
+    "max-degree-underscore": ["strata", "--component", "(3)", "--max-degree", "1_0"],
+    "max-degree-arabic-indic": ["strata", "--component", "(3)", "--max-degree", "\u0663"],
+    "n-arabic-indic": ["symcoords", "--points", '[{"re": 2}]', "--n", "\u0661"],
+    "samples-underscore-and-arabic-indic": ["verify", "--fiber-samples", "1_0",
+                                            "--sym-samples", "\u0661"],
+    "q-arabic-indic": [*_Q_ONE, "--q", "\u0669"],
+    "q-underscore": [*_Q_ONE, "--q", "1_0"],
+    "max-degree-4301-digits": ["strata", "--component", "(3)", "--max-degree", "1" * 4301],
+}
 _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "--point"),
                    (["project"], "--point"), (["temper"], "--input"),
                    (["homotopy", "--t", "1/2"], "--input"), (["symcoords"], "--points"),
@@ -484,6 +506,8 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
     # labels and ids that are not strings: were echoed as given, or refused by
     # the comparison or the hash that first met them
     *_NON_STRING_NAMES.values(),
+    # numeric options read by argparse's own int() and float()
+    *_OPTION_TEXT.values(),
     # argument combinations that only the verbs themselves refuse
     *_MISMATCHED_ARGS.values(),
     *(argv for argv, _ in _WRONG_JSON_TYPES.values()),
@@ -497,7 +521,7 @@ _DEEP_JSON_ARGS = ((["hp"], "--component"), (["fiber", "--component", "(1)"], "-
         "underscore-shorthand-q-exp",
         *("deep-json-%s-%s" % (verb[0], flag[2:]) for verb, flag in _DEEP_JSON_ARGS),
         *("%s-rho-%s" % (verb[0], name) for verb in _CARRIER_VERBS for name in _RHO_BAD),
-        *_NON_STRING_NAMES, *_MISMATCHED_ARGS, *_WRONG_JSON_TYPES])
+        *_NON_STRING_NAMES, *_OPTION_TEXT, *_MISMATCHED_ARGS, *_WRONG_JSON_TYPES])
 def test_boundary_inputs_are_validation_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -547,6 +571,11 @@ _MALFORMED = {
         "--point shorthand: q exponent must be an integer or a rational string, got '{1/2}'"),
     "project-coords-bare": (["project", "--component", "(1)", "--cycle", "(1)", "--coords", "q"],
                             "--coords " + _BRACES),
+    # whitespace of other scripts around a shorthand: was stripped, and '(1)' and '{q}' read
+    "hp-component-no-break-space": (["hp", "--component", "\u00a0(1)"],
+                                    "--component shorthand must be ASCII text"),
+    "fiber-point-ideographic-space": (["fiber", "--component", "(1)", "--point", "{q}\u3000"],
+                                      "--point shorthand must be ASCII text"),
     "hp-component-not-json": (["hp", "--component", "abc"], "--component " + _NOT_JSON),
     "temper-input-not-json": (["temper", "--input", "abc"], "--input " + _NOT_JSON),
     "symcoords-points-not-json": (["symcoords", "--points", "abc"], "--points " + _NOT_JSON),
@@ -600,9 +629,8 @@ def test_non_finite_symcoords_input_is_refused_by_position(capsys, name, flag, p
 @pytest.mark.parametrize("name", sorted(_NON_STRING_NAMES))
 def test_non_string_names_are_refused_by_field(capsys, name):
     code, report, _ = run_cli(capsys, *_NON_STRING_NAMES[name])
-    field = "label id" if name.startswith("id-") else "block label"
     assert code == 2
-    assert report["error"]["message"].startswith("%s must be a string, got " % field)
+    assert report["error"]["message"] == "%s must be a JSON string, got %s" % _NAME_REFUSALS[name]
 
 
 def test_non_finite_output_is_refused_not_printed(capsys):
@@ -879,6 +907,12 @@ def _scalars(n):
     return _scalar_entries(n).map(lambda entries: "{%s}" % entries)
 
 
+# refused wherever --q or --n holds them: the first two are not written in
+# ASCII digits without underscores, and the last is beyond the doubles as a q
+# and no count of the points given as an n
+_REFUSED_NUMBERS = ("1_0", "\u0661\u0660", "1" * 400)
+
+
 def _shorthand(values):
     return "(%s)" % ",".join(map(str, values))
 
@@ -892,7 +926,7 @@ def _project_argv(draw):
     argv = ["project", "--component", draw(_field(st.just(_shorthand([e])), _text_junk)),
             "--cycle", draw(_field(st.just(_shorthand(parts)), _text_junk)),
             "--coords", draw(_scalars(len(parts)))]
-    q = draw(st.sampled_from([None, "9", "1.5", "1", "0.5", "inf", "nan", "x"]))
+    q = draw(st.sampled_from([None, "9", "1.5", "1", "0.5", "inf", "nan", "x", *_REFUSED_NUMBERS]))
     return argv if q is None else argv + ["--q", q]
 
 
@@ -915,7 +949,7 @@ def _symcoords_argv(draw):
     for flag in draw(st.sampled_from([["--points"], ["--sigma"], ["--points", "--sigma"], []])):
         argv += [flag, json.dumps(draw(_field(st.lists(_complex, min_size=n, max_size=n))))]
     if draw(st.booleans()):
-        argv += ["--n", str(draw(st.sampled_from([n, n, -1, 0, 7])))]
+        argv += ["--n", str(draw(st.sampled_from([n, n, -1, 0, 7, *_REFUSED_NUMBERS])))]
     return argv
 
 
@@ -938,6 +972,8 @@ def test_every_verb_answers_in_strict_json(argv):
     _strict_json(out.getvalue())
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if any(value in _REFUSED_NUMBERS for value in argv):
+        assert code == 2
 
 
 # --- adversarial sizes: each verb just under and just past every limit, in a child

@@ -132,7 +132,7 @@ def test_class_runs_split_exactly_at_unequal_classes():
     assert _run_lengths(LParameter(((cls(j=0), ONE), (cls(j=1), ONE)))) == [1, 1]
     assert _run_lengths(LParameter(((cls(j=F(1, 2)), twists[0]),
                                     (cls(j=F(2, 4)), twists[1]),
-                                    (InertialClass(TRIVIAL, "1/2"), twists[2])))) == [3]
+                                    (InertialClass(TRIVIAL, F(1, 2)), twists[2])))) == [3]
     assert _run_lengths(LParameter(((InertialClass(a), twists[0]),
                                     (InertialClass(b), twists[1])))) == [2]
     assert _run_lengths(LParameter(((InertialClass(a), ONE), (InertialClass(WeilLabel("b")), ONE),

@@ -3,12 +3,15 @@ equality and hash by fields, no comparison with other types, order for
 `QScalar` alone, and no assignment to a field.  Each class built unchecked
 builds through `Cls._trusted(*fields)` what its checked constructor builds.
 The checked constructors take an int alone for an integer field, a bool alone
-for `unitary_det` and no bool or float for a rational, so every value's JSON
+for `unitary_det`, a string alone for a name, and a Fraction or an int alone
+for a rational (no text, bool, float or other number), so every value's JSON
 reads back as that value."""
 
 import dataclasses
 import itertools
 import json
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -18,9 +21,10 @@ from hypothesis import strategies as st
 from gldual.bernstein import Block, Component, CycleType, Stratum
 from gldual.cohomology import PermutationAction
 from gldual.parameters import (TRIVIAL, InertialClass, LParameter, OrbitDescriptor, WeilLabel,
-                               _class_key, _summand_key)
-from gldual.qproj import StratumPoint, SymPoint
+                               _class_key, _summand_key, steinberg_parameter)
+from gldual.qproj import StratumPoint, SymPoint, q_string
 from gldual.partitions import partitions
+from gldual.retract import homotopy
 from gldual.scalars import ONE, QScalar, _fraction, q_power, unit
 from gldual.symfun import SymCoords
 from gldual.verify import CheckResult
@@ -218,13 +222,23 @@ INTEGER_FIELDS = {
     "WeilLabel.dim": lambda x: WeilLabel("a", x),
     "OrbitDescriptor multiplicity": lambda x: OrbitDescriptor(((InertialClass(TRIVIAL), x),)),
     "PermutationAction block": lambda x: PermutationAction((x,)),
+    "q_string alpha": lambda x: q_string(x, ONE),
+    "steinberg_parameter n": steinberg_parameter,
 }
 RATIONAL_FIELDS = {
     "Block.q_scale": lambda x: Block("a", 1, x),
     "InertialClass.spin_j": lambda x: InertialClass(TRIVIAL, x),
     "QScalar.q_exp": lambda x: QScalar(x, F(0)),
     "QScalar.turn": lambda x: QScalar(F(0), x),
+    "homotopy t": lambda x: homotopy(steinberg_parameter(2), x),
+    "q_power": q_power,
+    "unit": unit,
+    "QScalar.q_shift": ONE.q_shift,
     "_fraction": _fraction,
+}
+NAME_FIELDS = {
+    "Block.label": lambda x: Block(x, 1),
+    "WeilLabel.id": WeilLabel,
 }
 
 
@@ -243,13 +257,24 @@ def test_unitary_det_takes_a_bool_alone(bad):
         WeilLabel("a", 1, bad)
 
 
-@pytest.mark.parametrize("bad", [2.0, True, False], ids=repr)
+@pytest.mark.parametrize("bad", [2.0, True, False, "2", "1/2", Decimal("0.5")], ids=repr)
 @pytest.mark.parametrize("field", RATIONAL_FIELDS)
 def test_a_rational_field_takes_no_bool_and_no_float(field, bad):
     RATIONAL_FIELDS[field](F(1, 2))
-    with pytest.raises(TypeError, match="exact rational required, got %s %r"
-                       % (type(bad).__name__, bad)):
+    RATIONAL_FIELDS[field](1)  # an int is exact
+    with pytest.raises(TypeError, match=re.escape("exact rational required, got %s %r"
+                                                  % (type(bad).__name__, bad))):
         RATIONAL_FIELDS[field](bad)
+
+
+@pytest.mark.parametrize("bad", [1, True, None], ids=repr)
+@pytest.mark.parametrize("field", NAME_FIELDS)
+def test_a_name_takes_a_string_alone(field, bad):
+    NAME_FIELDS[field]("a")
+    with pytest.raises(ValueError, match="must be nonempty"):
+        NAME_FIELDS[field]("")
+    with pytest.raises(TypeError, match="must be a string, got %r" % (bad,)):
+        NAME_FIELDS[field](bad)
 
 
 def test_a_value_given_lists_stores_tuples():

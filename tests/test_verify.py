@@ -46,6 +46,20 @@ def test_run_all_refuses_sample_counts_above_the_limit(monkeypatch, counts):
         verify.run_all(**counts)
 
 
+@pytest.mark.parametrize("counts", [{"fiber_samples": True}, {"fiber_samples": 2.5},
+                                    {"sym_samples": "2"}], ids=repr)
+def test_run_all_refuses_sample_counts_that_are_not_ints(monkeypatch, counts):
+    # refused before any check: a bool ran one sample, and 2.5 raised only
+    # after six checks had run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_gl2_projection", unreachable)
+    (name, count), = counts.items()
+    with pytest.raises(TypeError, match="^%s must be an integer, got %r$" % (name, count)):
+        verify.run_all(**counts)
+
+
 def test_centered_string_is_symmetric_under_full_sign_flip():
     # inverting every shift maps a centered string to itself, so that flip is
     # invisible; the step sign below is the flip the harness must catch
