@@ -40,9 +40,8 @@ def polyroots(c: list[complex]) -> list[complex]:
 
     Raises RootFindingError if the double-precision iteration has not
     converged after MAX_STEPS steps, if it overflows or divides by zero, or if
-    a root still moving after the polish fails the exact-residual test.  A
-    real or imaginary part below EPS times the other part is rounding noise of
-    the complex iteration and is returned as zero.
+    a root still moving after the polish fails the exact-residual test.  Each
+    root is `_denoised`: a part that is rounding noise of the other is zero.
     """
     # z = 2**s * w puts the largest roots w near the unit circle; the scaling is exact
     s = round(max(math.frexp(max(abs(x.real), abs(x.imag)))[1] / k
@@ -55,11 +54,15 @@ def polyroots(c: list[complex]) -> list[complex]:
     try:
         w = _aberth(_initial_guesses(b), pairs)
         _polish(exact, pairs, w)
-        out = [complex(math.ldexp(x.real, s), math.ldexp(x.imag, s)) for x in w]
+        return [_denoised(complex(math.ldexp(x.real, s), math.ldexp(x.imag, s))) for x in w]
     except ArithmeticError as exc:  # an overflow or a zero divisor in double arithmetic
         raise RootFindingError("root finding failed in double arithmetic: %s" % exc) from exc
-    return [complex(0.0 if abs(r.real) < EPS * abs(r.imag) else r.real,
-                    0.0 if abs(r.imag) < EPS * abs(r.real) else r.imag) for r in out]
+
+
+def _denoised(z: complex) -> complex:
+    """z with a part below EPS times the other, rounding noise, set to zero."""
+    return complex(0.0 if abs(z.real) < EPS * abs(z.imag) else z.real,
+                   0.0 if abs(z.imag) < EPS * abs(z.real) else z.imag)
 
 
 def _double_horner(pairs, w: complex):
@@ -121,8 +124,8 @@ def _polish(exact: _Polynomial, pairs, w: list[complex]) -> None:
     """Phase two: Aberth sweeps with the exact Newton ratio, until no root
     moves.  Approximants still moving after POLISH_SWEEPS close in linearly
     on a multiple root: a cluster of m of them becomes the m-fold root when
-    there is one at a double, and every other root must pass the rounding
-    bound with its exact residual.
+    its `_denoised` Schroeder steps reach one at a double, and every other
+    root must pass the rounding bound with its exact residual.
 
     A sweep visits a root only if some root has moved since its last visit:
     otherwise its ratio and its repulsion are what they were, and it stays put
@@ -168,7 +171,7 @@ def _polish(exact: _Polynomial, pairs, w: list[complex]) -> None:
                 ratio = newton(root)
                 if not ratio:
                     break
-                root -= m * ratio
+                root = _denoised(root - m * ratio)
             if cmath.isfinite(root) and exact.has_root(root, m):
                 for j in cluster:
                     w[j] = root

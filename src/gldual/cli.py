@@ -63,18 +63,15 @@ def _load_text(value: str) -> str:
 
 
 def _decode_json(text: str, flag: str, expected: type):
-    """json.loads of the value of `flag`, refused unless it is of the `expected`
-    type (dict or list), where it is nested too deeply for the decoder, or where
-    it holds an integer of more digits than `sys.get_int_max_str_digits()`."""
+    """json.loads of the value of `flag`, each integer read by `exact_int`, so
+    refused above MAX_DIGITS characters; refused unless it is of the `expected`
+    type (dict or list), or where it is nested too deeply for the decoder."""
     try:
-        value = json.loads(text)
+        value = json.loads(text, parse_int=lambda digits: exact_int(digits, "a number in " + flag))
     except RecursionError:
         raise ValueError("JSON input is nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise ValueError("%s is not JSON: %s" % (flag, exc)) from None
-    except ValueError:  # the only other refusal: an integer longer than int() reads
-        raise ValueError("%s holds a number of more than %d digits"
-                         % (flag, sys.get_int_max_str_digits())) from None
     return _json_of_type(value, flag, expected)
 
 
@@ -303,8 +300,8 @@ def _cmd_homotopy(args) -> tuple[int, dict]:
     from .retract import homotopy, homotopy_point
     from .scalars import exact_rational
 
-    obj = _parse_carrier(args.input)
     t = exact_rational(args.t, "t")
+    obj = _parse_carrier(args.input)
     result = homotopy(obj, t) if isinstance(obj, LParameter) else homotopy_point(obj, t)
     return 0, {"t": str(t), "result": result.to_json()}
 

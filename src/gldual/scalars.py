@@ -15,7 +15,7 @@ import math
 import re
 from fractions import Fraction
 
-from ._value import Value, _json_field, _number, exact_int, set_field
+from ._value import MAX_DIGITS, Value, _json_field, _number, exact_int, set_field
 
 __all__ = ["QScalar", "ONE", "q_power", "unit", "exact_int", "exact_rational",
            "MAX_DECIMAL_EXPONENT"]
@@ -49,13 +49,13 @@ def exact_rational(value, what: str) -> Fraction:
     '1e-3', in ASCII digits.
 
     Bools, floats and text that does not parse ('abc', '1/0') are refused by the
-    name `what`, as is a decimal exponent beyond MAX_DECIMAL_EXPONENT, while text.
+    name `what`, as are text above MAX_DIGITS characters and then a decimal
+    exponent beyond MAX_DECIMAL_EXPONENT, while text.
     """
-    if type(value) is str:
-        m = _EXPONENT.search(value)
-        if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
-            raise ValueError("%s has a decimal exponent beyond %d: %r"
-                             % (what, MAX_DECIMAL_EXPONENT, value))
+    m = type(value) is str and len(value) <= MAX_DIGITS and _EXPONENT.search(value)
+    if m and abs(int(m.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError("%s has a decimal exponent beyond %d: %r"
+                         % (what, MAX_DECIMAL_EXPONENT, value))
     return _number(value, what, Fraction, "an integer or a rational string")
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gldual
+from gldual._value import MAX_DIGITS
 from gldual.cli import main, parse_scalar
 from gldual.partitions import partitions
 from gldual.scalars import ONE, QScalar
@@ -425,23 +426,35 @@ _WRONG_JSON_TYPES = {
     "fiber-point-empty-object-spaced": (["fiber", "--component", "(1,1)", "--point", "{ }"],
                                         "blocks is missing"),
 }
-# numbers of more digits than int() reads: were Python's own "Exceeds the limit
-# (4300 digits) ..." as a JSON number, and "must be an integer, got '1000...'",
-# echoing every digit, as text; (argv, message) with {limit} for the limit
+# numbers of more than MAX_DIGITS characters, refused by name before anything
+# parses them: were Python's own "Exceeds the limit (4300 digits) ..." as a JSON
+# number and for the last two (a decimal exponent; a product of two numbers
+# read), and "must be an integer, got '1000...'", echoing every digit, as text;
+# (argv, message) with {limit} for MAX_DIGITS
 _DIGITS = "1" + "0" * 5000
 _TOO_MANY_DIGITS = {
     "hp-exponent-number": (["hp", "--component", '{"blocks": [{"label": "a", "exponent": %s}]}'
-                            % _DIGITS], "--component holds a number of more than {limit} digits"),
+                            % _DIGITS],
+                           "a number in --component has more than {limit} characters"),
     "hp-exponent-string": (["hp", "--component", '{"blocks": [{"label": "a", "exponent": "%s"}]}'
-                            % _DIGITS], "blocks[0].exponent has more than {limit} digits"),
+                            % _DIGITS], "blocks[0].exponent has more than {limit} characters"),
     "hp-exponent-shorthand": (["hp", "--component", "(%s)" % _DIGITS],
-                              "exponent has more than {limit} digits"),
+                              "exponent has more than {limit} characters"),
     "temper-q-exp-string": (["temper", "--input", json.dumps({"summands": [
         {"rho": {"id": "a"}, "j": "0", "twist": {"q_exp": _DIGITS, "turn": "0"}}]})],
-                            "summands[0].twist.q_exp has more than {limit} digits"),
+                            "summands[0].twist.q_exp has more than {limit} characters"),
     "homotopy-t-denominator": (["homotopy", "--t", "1/" + _DIGITS,
                                 "--input", _phi({"id": "a"}, "0")],
-                               "t has more than {limit} digits"),
+                               "t has more than {limit} characters"),
+    "homotopy-t-exponent": (["homotopy", "--t", "1e" + "1" * 5000,
+                             "--input", _phi({"id": "a"}, "0")],
+                            "t has more than {limit} characters"),
+    "homotopy-t-and-q-exp-denominators": (["homotopy", "--t", "1/" + "9" * 4000, "--input",
+                                           json.dumps({"summands": [{
+                                               "rho": {"id": "a"}, "j": "0",
+                                               "twist": {"q_exp": "1/" + "7" * 4000,
+                                                         "turn": "0"}}]})],
+                                          "t has more than {limit} characters"),
 }
 _Q_ONE = ["project", "--component", "(1)", "--cycle", "(1)", "--coords", "{q}"]
 # numeric options in text that every other reader of numbers refuses: all but
@@ -605,15 +618,12 @@ def test_blocks_share_one_pair_of_braces(capsys):
     assert code == 2
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
-                    reason="this interpreter reads integers of any length")
 @pytest.mark.parametrize("name", sorted(_TOO_MANY_DIGITS))
 def test_numbers_beyond_the_digit_limit_are_refused_by_path(capsys, name):
     argv, message = _TOO_MANY_DIGITS[name]
     code, report, out = run_cli(capsys, *argv)
     assert code == 2
-    assert report["error"] == {
-        "type": "validation", "message": message.format(limit=sys.get_int_max_str_digits())}
+    assert report["error"] == {"type": "validation", "message": message.format(limit=MAX_DIGITS)}
     assert "0" * 100 not in out
 
 
@@ -865,7 +875,12 @@ def _field(valid, junk=_junk):
     return st.integers(0, 7).flatmap(lambda i: junk if i == 0 else valid)
 
 
-_rational = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "1/3", 2, 0])
+# numbers of 1 to 5,000 digits, on both sides of MAX_DIGITS: an integer, a
+# denominator, a decimal and a decimal exponent
+_long_number = st.builds(lambda form, n: form % ("7" * n),
+                         st.sampled_from(["%s", "-1/%s", "0.%s", "1e%s"]), st.integers(1, 5000))
+_rational = st.integers(0, 15).flatmap(lambda i: _long_number if i == 0 else st.sampled_from(
+    ["0", "1", "-1", "1/2", "-3/2", "1/3", 2, 0]))
 _twist = st.fixed_dictionaries({"q_exp": _field(_rational), "turn": _field(_rational)})
 _rho = st.fixed_dictionaries({"id": _field(st.sampled_from(["a", "b"])),
                               "dim": _field(st.integers(1, 2)),
@@ -957,7 +972,8 @@ _ARGV = st.one_of(
     _project_argv(),
     _fiber_argv(),
     _carrier.map(lambda c: ["temper", "--input", c]),
-    st.tuples(_carrier, st.sampled_from(["0", "1/2", "1", "2", "-1/3", "x", "0.5"])).map(
+    st.tuples(_carrier, st.sampled_from(["0", "1/2", "1", "2", "-1/3", "x", "0.5"])
+              | _long_number).map(
         lambda a: ["homotopy", "--input", a[0], "--t", a[1]]),
     _symcoords_argv(),
 )
@@ -972,6 +988,9 @@ def test_every_verb_answers_in_strict_json(argv):
     _strict_json(out.getvalue())
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    # no length of number reaches the interpreter's own digit limit
+    assert "set_int_max_str_digits" not in out.getvalue()
+    assert "Exceeds the limit" not in out.getvalue()
     if any(value in _REFUSED_NUMBERS for value in argv):
         assert code == 2
 
@@ -988,6 +1007,22 @@ def _summand_json(j="0", q_exp="1"):
 
 _NESTED = "[" * 50000 + "]" * 50000  # deeper than the decoder's recursion allows
 _SHALLOW = "[" * 100 + "]" * 100  # decoded, then refused as not an object
+
+# MAX_DIGITS = 2000 characters, whatever the interpreter's digit limit: (id, argv, exit code)
+_DIGIT_BOUNDARY = [
+    ("t-2000", ["homotopy", "--input", _summand_json(), "--t", "1/" + "9" * 1998], 0),
+    ("t-2001", ["homotopy", "--input", _summand_json(), "--t", "1/" + "9" * 1999], 2),
+    ("q_exp-2000", ["temper", "--input", _summand_json(q_exp="1/" + "7" * 1998)], 0),
+    ("q_exp-2001", ["temper", "--input", _summand_json(q_exp="1/" + "7" * 1999)], 2),
+    ("shorthand-exponent-2000", ["fiber", "--component", "(1)",
+                                 "--point", "{q^1/%s}" % ("3" * 1998)], 0),
+    ("shorthand-exponent-2001", ["fiber", "--component", "(1)",
+                                 "--point", "{q^1/%s}" % ("3" * 1999)], 2),
+    # a 1,998-digit t on a 1,999-digit q_exp: the scaled q_exp's denominator has
+    # 3,994 digits, and prints
+    ("t-1998-digits-on-q_exp-1999-digits", ["homotopy", "--t", "1/" + "9" * 1997, "--input",
+                                            _summand_json(q_exp="1/" + "7" * 1998)], 0),
+]
 
 # (id, argv, exit code)
 _ADVERSARIAL = [
@@ -1017,6 +1052,7 @@ _ADVERSARIAL = [
     ("j-1e101", ["temper", "--input", _summand_json(j="1e101")], 2),
     ("q_exp-1e100", ["temper", "--input", _summand_json(q_exp="1e100")], 0),
     ("q_exp-1e101", ["temper", "--input", _summand_json(q_exp="1e101")], 2),
+    *_DIGIT_BOUNDARY,
     # JSON nesting
     ("component-shallow", ["hp", "--component", _SHALLOW], 2),
     ("component-nested", ["hp", "--component", _NESTED], 2),
@@ -1043,6 +1079,28 @@ def test_adversarial_sizes_answer_or_refuse_in_strict_json(argv, expected):
     assert ("error" in report) == (expected != 0)
     assert "Traceback" not in proc.stderr
     assert elapsed < bound
+
+
+# every case on either side of MAX_DIGITS, as (id, argv)
+_DIGIT_CASES = [*((name, argv) for name, (argv, _) in _TOO_MANY_DIGITS.items()),
+                *((name, argv) for name, argv, _ in _DIGIT_BOUNDARY)]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name) for name, argv in _DIGIT_CASES])
+def test_no_answer_depends_on_the_interpreter_digit_limit(argv):
+    # PYTHONINTMAXSTRDIGITS unset, the limit of 4,300 digits, and 0, no limit at
+    # all, as on Python 3.10.0 to 3.10.6; one child at a time
+    runs = []
+    for limit in (None, "0"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        proc = subprocess.run([sys.executable, "-m", "gldual.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
 
 
 def test_the_fiber_reference_answers_at_its_limit_and_refuses_above_at_once():

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -349,7 +350,35 @@ def test_polyroots_corpus_is_bit_identical():
         digest.update(text.encode() + b"\n")
         count += 1
     assert count == 376
-    assert digest.hexdigest() == "f35c9858ce73daf04e52b236896cf96acc38c45e928b726ee5618c466b6e271f"
+    assert digest.hexdigest() == "6bd527532eb3298adf399b733c35236ecda64fce8f4c946601fac844a8f7df37"
+
+
+def _exact_multiplicity(c, z):
+    """The multiplicity of z as a root of the polynomial whose coefficients are
+    the doubles c, by synthetic division in exact Gaussian rationals."""
+    coefficients = [(Fraction(x.real), Fraction(x.imag)) for x in c]
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    m = 0
+    while len(coefficients) > 1:
+        quotient = [coefficients[0]]
+        for cr, ci in coefficients[1:]:
+            pr, pi = quotient[-1]
+            quotient.append((cr + pr * zr - pi * zi, ci + pr * zi + pi * zr))
+        if quotient.pop() != (0, 0):
+            break
+        coefficients, m = quotient, m + 1
+    return m
+
+
+def test_the_multiple_roots_snapped_on_an_axis_are_exact():
+    # the corpus polynomials whose roots changed when the cluster step zeroed a
+    # part below EPS times the other: each returned clusters around roots on an
+    # axis, and now returns every root exactly, as often as its multiplicity
+    corpus = list(_polyroots_corpus())
+    for index in (171, 175, 193, 197, 206, 209, 226):
+        roots = gldual.aberth.polyroots(corpus[index])
+        for z in set(roots):
+            assert _exact_multiplicity(corpus[index], z) == roots.count(z), (index, z)
 
 
 # --- parity with mpmath.polyroots, the root finder of earlier versions -------------------
