@@ -20,9 +20,16 @@ its q-line, the center's q_exp is s(2(d * position + offset) + d(L-1))/(2d).
 Cells match by exact equality, so query points must be exact (floats are
 rejected, never snapped).
 
-Neither map returns more than OUTPUT_LIMIT scalars; `fiber` counts them cover by
-cover.  Its walk is one flat loop over one list of open steps, each giving back
-what it took when left, and every branch of it ends in a cover.
+Where no two cells are joined (no two scalars of one block lie one q-step
+apart on a q-line) no string crosses two cells, and the fiber is one point in
+closed form: the query's scalars on the identity stratum, with no walk.
+
+Neither map returns more than OUTPUT_LIMIT scalars.  Every fiber holds that
+identity-stratum point, of `degree` coordinates, so `fiber` refuses a component
+of degree above OUTPUT_LIMIT before building a cell, and its walk counts the
+coordinates cover by cover.  The walk is one flat loop over one list of open
+steps, each giving back what it took when left, and every branch of it ends in
+a cover.
 """
 
 from __future__ import annotations
@@ -128,10 +135,12 @@ def project(point: StratumPoint) -> SymPoint:
 def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
     """The complete q-projection preimage of `point`, over all strata.
 
-    Empty when the point is outside the image; points are returned in
-    canonical order (strata in enumeration order, coordinates sorted within
-    each stratum) and are pairwise distinct.  A preimage of more than
-    OUTPUT_LIMIT coordinates in all is refused with LimitExceeded.
+    Every fiber holds the point of the identity stratum whose coordinates are
+    the query's scalars; points are returned in canonical order (strata in
+    enumeration order, coordinates sorted within each stratum) and are
+    pairwise distinct.  A preimage of more than OUTPUT_LIMIT coordinates in
+    all is refused with LimitExceeded, a component of higher degree before
+    any work.
     """
     if len(point.blocks) != len(component.blocks):
         raise ValueError("point has %d blocks, component has %d"
@@ -142,6 +151,9 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
                 "block %r expects a multiset of size %d, got %d"
                 % (block.label, block.exponent, len(mset))
             )
+    # every fiber holds the all-ones point, whose `degree` coordinates alone may pass the limit
+    if component.degree > OUTPUT_LIMIT:
+        raise LimitExceeded("the fiber exceeds the output limit %d" % OUTPUT_LIMIT)
 
     # An element z of block i with scale s sits at `position` on the q-line
     # (i, turn, offset/d) of its block, where q_exp/s = position + offset/d in
@@ -159,11 +171,17 @@ def fiber(point: SymPoint, component: Component) -> list[StratumPoint]:
             cell = (i, z.turn.numerator, z.turn.denominator, offset, d // g, position)
             first.setdefault(cell, z)
             tally[cell] = tally.get(cell, 0) + 1
+    cells = sorted(tally)
+    joined = [a[:5] == b[:5] and a[5] + 1 == b[5] for a, b in zip(cells, cells[1:])] + [False]
+    if not any(joined):
+        # no string crosses two cells: the one cover is every scalar alone, on the
+        # identity stratum, in the walk's order (block, then rank): the query's own
+        ones = CycleType._trusted(tuple((1,) * block.exponent for block in component.blocks))
+        return [StratumPoint._trusted(Stratum._trusted(component, ones),
+                                      tuple(z for mset in point.blocks for z in mset))]
     ranked = list(first)
     rank = {cell: r for r, cell in enumerate(ranked)}
-    cells = sorted(tally)
     rem = [tally[cell] for cell in cells] + [0]  # a zero past the last cell, read at a cover
-    joined = [a[:5] == b[:5] and a[5] + 1 == b[5] for a, b in zip(cells, cells[1:])] + [False]
 
     # The walk covers the counts exactly by segments, which run from cell i to
     # cell i+1 only where joined[i].  The lowest cell still to cover starts

@@ -104,7 +104,7 @@ def test_fiber_of_generic_point_is_identity_stratum_only():
     assert points[0].stratum.cycle_type.parts_per_block == ((1, 1, 1),)
 
 
-def test_fiber_empty_outside_image():
+def test_fiber_refuses_wrong_sizes_and_is_never_empty():
     # only two of three entries lie in one block-sized multiset: sizes must match
     y = SymPoint(((ONE, ONE),))
     with pytest.raises(ValueError):
@@ -236,8 +236,7 @@ def test_fiber_output_limit():
         fiber(*_q_line(n + 1))
 
 
-def test_a_generic_fiber_walk_is_linear_in_its_cells():
-    # 32,000 distinct unit roots, one cell each: one point, no recursion
+def test_32000_distinct_unit_roots_have_one_point_within_2_s():
     cells = 32000
     point = SymPoint((tuple(unit(F(i, cells)) for i in range(cells)),))
     start = time.perf_counter()
@@ -245,6 +244,41 @@ def test_a_generic_fiber_walk_is_linear_in_its_cells():
     assert time.perf_counter() - start < 2.0
     assert found.stratum.cycle_type.parts_per_block == ((1,) * cells,)
     assert sorted(found.coords) == list(point.blocks[0])
+
+
+def test_a_fiber_walk_over_16001_cells_is_linear_in_them():
+    # 16,000 distinct unit roots and q, which one 2-cycle joins to 1: the walk,
+    # with no recursion, finds the all-ones point and the one with a 2-cycle
+    cells = 16000
+    point = SymPoint((tuple(unit(F(i, cells)) for i in range(cells)) + (q_power(1),),))
+    start = time.perf_counter()
+    ones, pair = fiber(point, Component.from_exponents((cells + 1,)))
+    assert time.perf_counter() - start < 2.0
+    assert ones.stratum.cycle_type.parts_per_block == ((1,) * (cells + 1),)
+    assert pair.stratum.cycle_type.parts_per_block == ((2,) + (1,) * (cells - 1),)
+    assert pair.coords[0] == q_power(F(1, 2))
+
+
+def test_the_output_limit_at_the_closed_form_edge():
+    # OUTPUT_LIMIT distinct unit roots are one point of OUTPUT_LIMIT coordinates; one
+    # more is refused by the degree alone, before a cell is built
+    def roots(n):
+        return SymPoint((tuple(unit(F(i, n)) for i in range(n)),)), Component.from_exponents((n,))
+
+    at = roots(OUTPUT_LIMIT)
+    start = time.perf_counter()
+    (found,) = fiber(*at)
+    answered = time.perf_counter() - start
+    assert len(found.coords) == OUTPUT_LIMIT
+    message = r"^the fiber exceeds the output limit %d$" % OUTPUT_LIMIT
+    above = roots(OUTPUT_LIMIT + 1)
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match=message):
+        fiber(*above)
+    assert time.perf_counter() - start < answered / 10
+    # scalars that cannot be read: the refusal reads none of them
+    with pytest.raises(LimitExceeded, match=message):
+        fiber(SymPoint._trusted(((None,) * (OUTPUT_LIMIT + 1),)), above[1])
 
 
 def test_project_degree_limit():
@@ -369,6 +403,75 @@ def test_fiber_equals_reference_on_wide_q_lines(query):
     _assert_canonical(points)
 
 
+# Points with no joined cells: on each q-line (turn, offset) of a block the
+# positions are even, so two distinct ones lie two or more q-steps apart, and
+# equal ones repeat a scalar in one cell
+_GENERIC_SCALES = (F(1, 2), F(1), F(2), F(3, 2))
+
+
+@st.composite
+def _generic_queries(draw, max_degree):
+    count, blocks = draw(st.integers(1, min(3, max_degree))), []
+    for i in range(count):
+        scale = draw(st.sampled_from(_GENERIC_SCALES))
+        # room for one scalar in each block still to draw
+        room = max_degree - sum(len(mset) for _, mset in blocks) - (count - i - 1)
+        elements = draw(st.lists(st.tuples(st.integers(-3, 3), st.sampled_from((F(0), F(1, 3), F(1, 2))),
+                                           st.sampled_from((F(0), F(1, 2), F(1, 3)))),
+                                 min_size=1, max_size=room))
+        blocks.append((scale, [QScalar(scale * (2 * k + offset), turn)
+                               for k, offset, turn in elements]))
+    component = Component(tuple(Block("b%d" % i, len(mset), scale)
+                                for i, (scale, mset) in enumerate(blocks)))
+    y = SymPoint(tuple(tuple(mset) for _, mset in blocks))
+    # no two scalars of one block lie one q-step apart
+    assert not any(w.turn == z.turn and w.q_exp - z.q_exp == block.q_scale
+                   for block, mset in zip(component.blocks, y.blocks) for z in mset for w in mset)
+    return component, y
+
+
+def _assert_one_all_ones_point(points, component, y):
+    (point,) = points
+    assert point.stratum.cycle_type.parts_per_block == tuple((1,) * e for e in component.exponents)
+    assert project(point) == y
+
+
+@settings(max_examples=150, deadline=None)
+@given(_generic_queries(5))
+def test_a_fiber_with_no_joined_cells_equals_the_reference(query):
+    component, y = query
+    points = fiber(y, component)
+    assert points == fiber_reference(y, component)
+    _assert_one_all_ones_point(points, component, y)
+    _assert_canonical(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generic_queries(40))
+def test_a_fiber_with_no_joined_cells_is_one_all_ones_point(query):
+    component, y = query
+    points = fiber(y, component)
+    _assert_one_all_ones_point(points, component, y)
+    _assert_canonical(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generic_queries(4), st.data())
+def test_one_joined_pair_takes_the_walk(query, data):
+    # one scalar more, one q-step above another of its block: a 2-cycle joins them
+    component, y = query
+    i = data.draw(st.integers(0, len(component.blocks) - 1))
+    block, mset = component.blocks[i], y.blocks[i]
+    z = data.draw(st.sampled_from(mset))
+    blocks = list(component.blocks)
+    blocks[i] = Block(block.label, block.exponent + 1, block.q_scale)
+    component = Component(tuple(blocks))
+    y = SymPoint(y.blocks[:i] + (mset + (z.q_shift(block.q_scale),),) + y.blocks[i + 1:])
+    points = fiber(y, component)
+    assert len(points) > 1
+    assert points == fiber_reference(y, component)
+
+
 def test_q_string_fiber_points_are_canonical():
     points = fiber(SymPoint((q_string(12, ONE),)), Component.from_exponents((12,)))
     assert len(points) == 2048
@@ -410,8 +513,9 @@ def test_deep_fiber_sizes_equal_the_benchmark_multisegment_count(monkeypatch):
 
 def test_fiber_search_compares_no_scalar(monkeypatch):
     c = Component.from_exponents((8,))
-    y = SymPoint((q_string(8, unit(F(1, 3))),))
-    expected = fiber(y, c)
+    queries = [(SymPoint((q_string(8, unit(F(1, 3))),)), c),
+               (SymPoint((tuple(q_power(2 * i) for i in range(4)) + (unit(F(1, 3)),) * 4,)), c)]
+    expected = [fiber(*query) for query in queries]
 
     def refuse(self, other):
         raise AssertionError("QScalar compared")
@@ -419,8 +523,8 @@ def test_fiber_search_compares_no_scalar(monkeypatch):
     with monkeypatch.context() as patch:
         for name in ("__lt__", "__le__", "__gt__", "__ge__"):
             patch.setattr(QScalar, name, refuse)
-        points = fiber(y, c)
-    assert len(points) == 2 ** 7
+        points = [fiber(*query) for query in queries]
+    assert [len(p) for p in points] == [2 ** 7, 1]
     assert points == expected
 
 
@@ -432,8 +536,10 @@ def test_fiber_does_no_fraction_arithmetic(monkeypatch):
     s = Stratum(c, CycleType(((3, 1), (2, 1))))
     image = project(StratumPoint(s, (QScalar(F(1, 2), F(1, 3)), q_power(F(3, 2)),
                                      unit(F(1, 3)), q_power(-1))))
+    generic = SymPoint(((q_power(F(1, 2)), q_power(F(7, 2)), unit(F(1, 3)), QScalar(F(3), F(1, 3))),
+                        (q_power(-1), q_power(1), q_power(1))))
     queries = [(SymPoint((q_string(8, QScalar(F(1, 3), F(1, 4)), F(1, 2)),)), twisted),
-               (image, c)]
+               (image, c), (generic, c)]
     expected = [fiber(*query) for query in queries]
 
     def refuse(self, other):
@@ -444,7 +550,7 @@ def test_fiber_does_no_fraction_arithmetic(monkeypatch):
             patch.setattr(F, name, refuse)
         points = [fiber(*query) for query in queries]
     assert points == expected
-    assert [len(p) for p in points] == [2 ** 7, 8]
+    assert [len(p) for p in points] == [2 ** 7, 8, 1]
 
 
 @pytest.mark.parametrize("component, point", [
